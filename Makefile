@@ -27,10 +27,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The packages whose state is shared across detection workers; Workers ≥ 8
-# paths are exercised by the tests in internal/race.
+# The race-detector list lives in ci.sh, so make, ci.sh and CI run the
+# same packages.
 race:
-	$(GO) test -race ./internal/race/ ./internal/shb/ ./internal/lockset/ ./internal/obs/
+	./ci.sh race
 
 cover:
 	./ci.sh cover

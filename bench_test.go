@@ -280,7 +280,7 @@ func BenchmarkDetectAllocs(b *testing.B) {
 // BenchmarkFigure2 measures the paper's running example end to end.
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := o2.AnalyzeSource("figure2.mini", cases.Figure2, o2.DefaultConfig())
+		res, err := o2.AnalyzeSourceCtx(context.Background(), "figure2.mini", cases.Figure2, o2.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,50 +2,40 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
 	"o2"
 	"o2/internal/corpus"
-	"o2/internal/sched"
-	"o2/internal/summary"
 )
 
 // runBatch analyzes a corpus of minilang programs (each file is one
 // program). Inputs are discovered by shape — directories, zip archives,
-// NDJSON manifests or plain .mini files — and streamed: the corpus is
-// never materialized in memory.
+// NDJSON manifests or plain .mini files — and streamed through
+// o2.AnalyzeCorpus: the corpus is never materialized in memory, and
+// results arrive in input order as they complete.
 //
-// Two modes share that frontend:
-//
-//   - the default (eager) mode streams submissions into the job
-//     scheduler through a bounded admission queue (-queue) and prints an
-//     aggregate table once every job finished;
-//   - -stream pipes the corpus through the streaming pipeline
-//     (o2.AnalyzeCorpus) and emits one NDJSON record per program on
-//     stdout, in input order, as results arrive.
+// By default every program becomes one row of a table on stdout, with a
+// totals line at the end. -stream emits one NDJSON record per program
+// instead, with the totals on stderr so stdout stays pure NDJSON.
 //
 // Either way the exit code is the worst per-program outcome: a corpus
-// with one parse failure and ten clean programs exits 3, records/rows
-// for the other ten are still produced (partial-failure contract).
+// with one parse failure and ten clean programs exits 3, and the other
+// ten still get their rows/records (partial-failure contract).
 func runBatch(args []string) int {
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	ctxKind := fs.String("context", "origin", "context policy: origin, 0ctx, kcfa, kobj")
 	k := fs.Int("k", 1, "context depth")
 	jobs := fs.Int("jobs", 0, "concurrent analysis jobs (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "admission queue depth; submission blocks when full (0 = 64)")
-	window := fs.Int("window", 0, "-stream reorder window in programs (0 = 2x jobs)")
-	repeat := fs.Int("repeat", 1, "submit each program N times (exercises the result cache)")
+	window := fs.Int("window", 0, "reorder window in programs (0 = 2x jobs)")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-program deadline (0 = none)")
-	incremental := fs.Bool("incremental", false, "reuse per-unit summaries across programs (two-level cache)")
 	stream := fs.Bool("stream", false, "emit one NDJSON record per program, in input order")
 	runStats := fs.Bool("run-stats", false, "with -stream: attach the full RunStats report to every record")
 	progressEvery := fs.Duration("progress-interval", 0, "with -stream: interleave a schema-tagged progress record at most this often (0 = off)")
-	asJSON := fs.Bool("json", false, "emit the aggregate report as JSON (eager mode)")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
@@ -62,216 +52,38 @@ func runBatch(args []string) int {
 	}
 	cfg.Policy = pol
 
-	// openCorpus builds a fresh input stream over all arguments; -repeat
-	// chains N passes so repeated programs re-enter the pipeline (and hit
-	// the result cache) without holding anything in memory.
-	openCorpus := func() (corpus.Iterator, error) {
-		var parts []corpus.Iterator
-		for rep := 0; rep < *repeat; rep++ {
-			for _, arg := range fs.Args() {
-				it, err := corpus.Open(arg)
-				if err != nil {
-					for _, p := range parts {
-						p.Close()
-					}
-					return nil, err
-				}
-				parts = append(parts, it)
-			}
-		}
-		return corpus.Chain(parts...), nil
-	}
-
-	it, err := openCorpus()
-	if err != nil {
-		return fail(exitUsage, err)
-	}
-	defer it.Close()
-
-	if *stream {
-		return runBatchStream(it, cfg, batchStreamOpts{
-			jobs:          *jobs,
-			window:        *window,
-			timeout:       *jobTimeout,
-			incremental:   *incremental,
-			runStats:      *runStats,
-			progressEvery: *progressEvery,
-		})
-	}
-	return runBatchEager(it, cfg, batchEagerOpts{
-		jobs:        *jobs,
-		queue:       *queue,
-		timeout:     *jobTimeout,
-		incremental: *incremental,
-		asJSON:      *asJSON,
-	})
-}
-
-type batchEagerOpts struct {
-	jobs, queue int
-	timeout     time.Duration
-	incremental bool
-	asJSON      bool
-}
-
-// runBatchEager streams discovery into the scheduler: SubmitWait blocks
-// on the bounded admission queue, so a corpus of any length is throttled
-// to the workers' pace instead of sized into the queue up front.
-func runBatchEager(it corpus.Iterator, cfg o2.Config, opts batchEagerOpts) int {
-	s := sched.New(sched.Options{
-		Workers:        opts.jobs,
-		QueueDepth:     opts.queue,
-		DefaultTimeout: opts.timeout,
-		Incremental:    opts.incremental,
-	})
-
-	type item struct {
-		path string
-		job  *sched.Job
-	}
-	var items []item
-	start := time.Now()
-	for {
-		src, ok, err := it.Next()
+	parts := make([]corpus.Iterator, 0, fs.NArg())
+	for _, arg := range fs.Args() {
+		it, err := corpus.Open(arg)
 		if err != nil {
-			s.Shutdown(context.Background())
+			for _, p := range parts {
+				p.Close()
+			}
 			return fail(exitUsage, err)
 		}
-		if !ok {
-			break
-		}
-		j, err := s.SubmitWait(context.Background(), sched.Request{
-			Sources: []o2.Source{src},
-			Config:  cfg,
-			Label:   src.Name,
-		})
-		if err != nil {
-			s.Shutdown(context.Background())
-			return fail(exitInternal, err)
-		}
-		items = append(items, item{src.Name, j})
+		parts = append(parts, it)
 	}
-	if len(items) == 0 {
-		s.Shutdown(context.Background())
-		return fail(exitUsage, fmt.Errorf("no %s programs found", corpus.Ext))
-	}
-	if err := s.Shutdown(context.Background()); err != nil {
-		return fail(exitInternal, err)
-	}
-	wall := time.Since(start)
+	it := corpus.Chain(parts...)
+	defer it.Close()
 
-	worst := exitOK
-	bump := func(code int) {
-		if code > worst {
-			worst = code
-		}
-	}
-	views := make([]sched.View, len(items))
-	for i, it := range items {
-		views[i] = it.job.View()
-		if views[i].State == sched.Done {
-			if views[i].RaceCnt > 0 {
-				bump(exitRaces)
-			}
-		} else {
-			bump(kindExit(views[i].ErrKind))
-		}
-	}
-
-	st := s.Stats()
-	if opts.asJSON {
-		out := struct {
-			Jobs    []sched.View `json:"jobs"`
-			WallNS  int64        `json:"wall_ns"`
-			JobsSec float64      `json:"jobs_per_sec"`
-			Stats   sched.Stats  `json:"scheduler"`
-		}{views, int64(wall), float64(len(items)) / wall.Seconds(), st}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return fail(exitInternal, err)
-		}
-		return worst
-	}
-
-	fmt.Printf("%-40s %-9s %6s %12s %s\n", "PROGRAM", "STATE", "RACES", "WALL", "NOTE")
-	for _, v := range views {
-		note := ""
-		if v.Error != "" {
-			note = string(v.ErrKind) + ": " + firstLine(v.Error)
-		} else if v.Summary != nil && v.Summary.Cached {
-			note = "cached"
-		}
-		fmt.Printf("%-40s %-9s %6d %12s %s\n",
-			trunc(v.Label, 40), v.State, v.RaceCnt, time.Duration(v.WallNS).Round(time.Microsecond), note)
-	}
-	fmt.Printf("\n%d jobs in %s (%.1f jobs/s, workers=%d, cache hits=%d/%d)\n",
-		len(items), wall.Round(time.Millisecond), float64(len(items))/wall.Seconds(),
-		st.Workers, st.CacheHits, st.CacheHits+st.CacheMisses)
-	return worst
-}
-
-type batchStreamOpts struct {
-	jobs, window  int
-	timeout       time.Duration
-	incremental   bool
-	runStats      bool
-	progressEvery time.Duration
-}
-
-// runBatchStream pipes the corpus through the streaming pipeline and
-// emits one NDJSON record per program on stdout, strictly in input
-// order, as results complete. Per-program failures become error records
-// (exit_class parse/budget/...) and the stream continues; only iterator
-// or stream-level failures abort it. A short human summary goes to
-// stderr so stdout stays pure NDJSON.
-func runBatchStream(it corpus.Iterator, cfg o2.Config, opts batchStreamOpts) int {
 	ccfg := o2.CorpusConfig{
 		Config:         cfg,
-		Workers:        opts.jobs,
-		Window:         opts.window,
-		ProgramTimeout: opts.timeout,
-		CollectStats:   opts.runStats,
+		Workers:        *jobs,
+		Window:         *window,
+		ProgramTimeout: *jobTimeout,
+		CollectStats:   *stream && *runStats,
 	}
-	if opts.incremental {
-		ccfg.Store = summary.NewStore(0)
+	emit := tableRow
+	if *stream {
+		emit = streamRecords(*progressEvery)
 	}
-
 	worst := exitOK
-	w := corpus.NewWriter(os.Stdout)
-	// Progress records interleave with result records on the same single
-	// emit goroutine, so the NDJSON stream stays strictly ordered; the
-	// interval throttles them to at most one per completed program.
-	start := time.Now()
-	lastProg := start
-	done, racesSoFar := 0, int64(0)
 	stats, err := o2.AnalyzeCorpus(context.Background(), it, ccfg, func(cr o2.CorpusResult) error {
-		rec := corpus.NewRecord(cr)
-		if !opts.runStats {
-			rec.RunStats = nil
-		}
-		if code := classExit(rec.ExitClass); code > worst {
+		class, err := emit(cr)
+		if code := classExit(class); code > worst {
 			worst = code
 		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
-		done++
-		racesSoFar += int64(rec.RaceCount)
-		if opts.progressEvery > 0 && time.Since(lastProg) >= opts.progressEvery {
-			lastProg = time.Now()
-			pr := &corpus.ProgressRecord{
-				Schema:     corpus.RecordSchema,
-				IsProgress: true,
-				Done:       done,
-				Index:      cr.Index,
-				Program:    cr.Name,
-				Races:      racesSoFar,
-				WallNS:     int64(time.Since(start)),
-			}
-			return w.Write(pr)
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return fail(exitCode(err), err)
@@ -279,14 +91,83 @@ func runBatchStream(it corpus.Iterator, cfg o2.Config, opts batchStreamOpts) int
 	if stats.Programs == 0 {
 		return fail(exitUsage, fmt.Errorf("no %s programs found", corpus.Ext))
 	}
-	fmt.Fprintf(os.Stderr, "o2 batch: %d programs, %d failed, %d races in %s (%.1f programs/s)\n",
-		stats.Programs, stats.Failed, stats.Races, stats.Wall.Round(time.Millisecond),
-		float64(stats.Programs)/stats.Wall.Seconds())
+	if *stream {
+		fmt.Fprintf(os.Stderr, "o2 batch: %d programs, %d failed, %d races in %s (%.1f programs/s)\n",
+			stats.Programs, stats.Failed, stats.Races, stats.Wall.Round(time.Millisecond),
+			float64(stats.Programs)/stats.Wall.Seconds())
+		return worst
+	}
+	workers := *jobs
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	fmt.Printf("\n%d jobs in %s (%.1f jobs/s, workers=%d)\n",
+		stats.Programs, stats.Wall.Round(time.Millisecond),
+		float64(stats.Programs)/stats.Wall.Seconds(), workers)
 	return worst
 }
 
-// classExit maps a streamed record's exit class onto the exit code —
-// the per-program half of the partial-failure contract.
+// tableRow prints one program's table row, the header before the first
+// row, and returns the program's exit class.
+func tableRow(cr o2.CorpusResult) (string, error) {
+	if cr.Index == 0 {
+		fmt.Printf("%-40s %-9s %6s %12s %s\n", "PROGRAM", "STATE", "RACES", "WALL", "NOTE")
+	}
+	races := 0
+	if cr.Err == nil {
+		races = len(cr.Result.Races())
+	}
+	class := corpus.ClassOf(cr.Err, races)
+	state, note := "done", ""
+	switch class {
+	case corpus.ClassOK, corpus.ClassRaces:
+	case corpus.ClassCanceled:
+		state, note = "canceled", class+": "+firstLine(cr.Err.Error())
+	default:
+		state, note = "failed", class+": "+firstLine(cr.Err.Error())
+	}
+	fmt.Printf("%-40s %-9s %6d %12s %s\n",
+		trunc(cr.Name, 40), state, races, cr.Wall.Round(time.Microsecond), note)
+	return class, nil
+}
+
+// streamRecords returns an emitter that writes one NDJSON record per
+// program on stdout and returns the program's exit class. Per-program
+// failures become error records (exit_class parse/budget/...) and the
+// stream continues. Progress records interleave with result records on
+// the same single emit goroutine, so the NDJSON stream stays strictly
+// ordered; the interval throttles them to at most one per completed
+// program.
+func streamRecords(progressEvery time.Duration) func(o2.CorpusResult) (string, error) {
+	w := corpus.NewWriter(os.Stdout)
+	start := time.Now()
+	lastProg := start
+	done, racesSoFar := 0, int64(0)
+	return func(cr o2.CorpusResult) (string, error) {
+		rec := corpus.NewRecord(cr)
+		if err := w.Write(rec); err != nil {
+			return rec.ExitClass, err
+		}
+		done++
+		racesSoFar += int64(rec.RaceCount)
+		if progressEvery <= 0 || time.Since(lastProg) < progressEvery {
+			return rec.ExitClass, nil
+		}
+		lastProg = time.Now()
+		return rec.ExitClass, w.Write(&corpus.ProgressRecord{
+			Schema:     corpus.RecordSchema,
+			IsProgress: true,
+			Done:       done,
+			Index:      cr.Index,
+			Program:    cr.Name,
+			Races:      racesSoFar,
+			WallNS:     int64(time.Since(start)),
+		})
+	}
+}
+
+// classExit maps a program's exit class onto the exit code — the
+// per-program half of the partial-failure contract.
 func classExit(class string) int {
 	switch class {
 	case corpus.ClassOK:

@@ -21,9 +21,6 @@ import (
 //	o2 eval -metamorphic also run the metamorphic invariance suite (all
 //	                     source transforms over the corpus, all IR
 //	                     transforms over three workload presets)
-//	o2 eval -incremental score the corpus through the incremental path
-//	                     (cold seed + warm summary replay) under the same
-//	                     recall-1.0 / baseline-precision hard gate
 //
 // Exit codes follow the shared contract: 0 when the gate passes, 1 when
 // evaluation completed but the gate fails (recall below 1.0, precision
@@ -33,22 +30,14 @@ func runEval(args []string) int {
 	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit the EvalReport JSON (baseline format) instead of the table")
 	metamorphic := fs.Bool("metamorphic", false, "also check metamorphic race-set invariance")
-	incremental := fs.Bool("incremental", false, "score the corpus through warm incremental summary replay")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
 	if fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: o2 eval [-json] [-metamorphic] [-incremental]")
+		fmt.Fprintln(os.Stderr, "usage: o2 eval [-json] [-metamorphic]")
 		return exitUsage
 	}
-	evaluate := truth.Evaluate
-	if *incremental {
-		// Same labels, same gate — but each program is analyzed cold into
-		// a fresh unit store and the *warm replayed* run is scored, so a
-		// divergent summary fails the recall gate, not just a unit test.
-		evaluate = truth.EvaluateIncremental
-	}
-	rep, err := evaluate()
+	rep, err := truth.Evaluate()
 	if err != nil {
 		return fail(exitCode(err), err)
 	}

@@ -47,8 +47,6 @@ func runServe(args []string) int {
 	workers := fs.Int("workers", 0, "job worker-pool size (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "admission queue depth (backpressure beyond it)")
 	cache := fs.Int("cache", 128, "result-cache entries (-1 disables caching)")
-	incremental := fs.Bool("incremental", false, "reuse per-unit summaries across jobs (two-level cache)")
-	unitCache := fs.Int("unit-cache", 0, "per-unit summary store entries with -incremental (0 = default)")
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-job deadline (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	logFormat := fs.String("log-format", "text", "structured-log format: json, text, none")
@@ -67,14 +65,12 @@ func runServe(args []string) int {
 	}
 
 	s := sched.New(sched.Options{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheEntries:     *cache,
-		DefaultTimeout:   *jobTimeout,
-		CollectStats:     true,
-		Incremental:      *incremental,
-		UnitCacheEntries: *unitCache,
-		Log:              logger,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheEntries:   *cache,
+		DefaultTimeout: *jobTimeout,
+		CollectStats:   true,
+		Log:            logger,
 	})
 	srvOpts := []server.Option{server.WithLogger(logger)}
 	if *pprofF {

@@ -10,7 +10,6 @@ import (
 
 	"o2/internal/obs"
 	"o2/internal/ring"
-	"o2/internal/summary"
 )
 
 // CorpusConfig configures a streaming corpus run: one analysis Config
@@ -33,10 +32,6 @@ type CorpusConfig struct {
 	// deadline fails that program with ErrBudget and the stream continues
 	// — per-program isolation, like any other program failure.
 	ProgramTimeout time.Duration
-	// Store enables per-unit summary reuse across the corpus: programs
-	// are analyzed through AnalyzeIncremental sharing this store. Nil
-	// uses the plain whole-program pipeline.
-	Store *summary.Store
 	// CollectStats gives every program its own obs.Registry, so each
 	// CorpusResult.Result carries a RunStats report.
 	CollectStats bool
@@ -218,13 +213,7 @@ func (cfg CorpusConfig) analyzeOne(ctx context.Context, idx int, src Source) Cor
 		ctx, cancel = context.WithTimeout(ctx, cfg.ProgramTimeout)
 		defer cancel()
 	}
-	var res *Result
-	var err error
-	if cfg.Store != nil {
-		res, err = AnalyzeSourceIncremental(ctx, src.Name, string(src.Bytes), pcfg, cfg.Store)
-	} else {
-		res, err = AnalyzeSources(ctx, []Source{src}, pcfg)
-	}
+	res, err := AnalyzeSources(ctx, []Source{src}, pcfg)
 	cr := CorpusResult{Index: idx, Name: src.Name, Result: res, Err: err, Wall: time.Since(start)}
 	if err != nil {
 		cr.Result = nil

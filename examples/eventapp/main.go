@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -73,7 +74,7 @@ func main() {
 	} {
 		cfg := o2.DefaultConfig()
 		cfg.Android = mode.android
-		res, err := o2.AnalyzeSource("eventapp.mini", app, cfg)
+		res, err := o2.AnalyzeSourceCtx(context.Background(), "eventapp.mini", app, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -32,7 +33,7 @@ func run(name, src string) {
 		{"O2 (1-origin OPA)", o2.DefaultConfig()},
 		{"0-ctx baseline", func() o2.Config { c := o2.DefaultConfig(); c.Policy = o2.Insensitive; return c }()},
 	} {
-		res, err := o2.AnalyzeSource(name, src, cfg.conf)
+		res, err := o2.AnalyzeSourceCtx(context.Background(), name, src, cfg.conf)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ import (
 )
 
 func main() {
-	res, err := o2.AnalyzeSource("linux.mini", cases.LinuxCase.Source, o2.DefaultConfig())
+	res, err := o2.AnalyzeSourceCtx(context.Background(), "linux.mini", cases.LinuxCase.Source, o2.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,7 +57,7 @@ main {
 `
 
 func main() {
-	res, err := o2.AnalyzeSource("quickstart.mini", program, o2.DefaultConfig())
+	res, err := o2.AnalyzeSourceCtx(context.Background(), "quickstart.mini", program, o2.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -73,7 +74,7 @@ main {
 `
 
 func main() {
-	res, err := o2.AnalyzeSource("syncanalyses.mini", program, o2.DefaultConfig())
+	res, err := o2.AnalyzeSourceCtx(context.Background(), "syncanalyses.mini", program, o2.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

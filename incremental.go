@@ -21,7 +21,7 @@ var ErrCompile = errors.New("compile error")
 // is attached to Result.Inc by AnalyzeIncremental; the same numbers are
 // published as obs counters (inc.units_total, inc.units_reused,
 // inc.units_recomputed, inc.replay_errors, inc.fallbacks) so they show
-// up in RunStats and /metrics without extra wiring.
+// up in RunStats without extra wiring.
 type IncStats struct {
 	// UnitsTotal is the number of units the program decomposed into.
 	UnitsTotal int `json:"units_total"`
@@ -49,11 +49,6 @@ func (s *IncStats) DirtyRatio() float64 {
 		return 1
 	}
 	return float64(s.UnitsRecomputed) / float64(s.UnitsTotal)
-}
-
-// AnalyzeSourceIncremental is AnalyzeIncremental for one source file.
-func AnalyzeSourceIncremental(ctx context.Context, filename, src string, cfg Config, store *summary.Store) (*Result, error) {
-	return AnalyzeIncremental(ctx, map[string]string{filename: src}, cfg, store)
 }
 
 // AnalyzeIncremental compiles and analyzes files with per-unit summary

@@ -92,7 +92,7 @@ func RunPTA(prog *ir.Program, pol pta.Policy, entries ir.EntryConfig, stepBudget
 // RunPTAObs is RunPTA reporting into an observability registry.
 func RunPTAObs(prog *ir.Program, pol pta.Policy, entries ir.EntryConfig, stepBudget int64, reg *obs.Registry) PTARun {
 	a := pta.New(prog, pta.Config{Policy: pol, Entries: entries, StepBudget: stepBudget, Obs: reg})
-	h0 := obs.ReadHeapCounters()
+	h0 := reg.HeapMark()
 	t0 := time.Now()
 	err := a.Solve()
 	dt := time.Since(t0)
@@ -113,25 +113,30 @@ type DetectRun struct {
 }
 
 // RunDetect executes OSA, SHB construction and race detection. The
-// registry in opts.Obs (if any) also observes the OSA and SHB phases.
+// registry in opts.Obs (if any) also observes the OSA and SHB phases and
+// gets each phase's heap gauges; the marks sit outside the timed
+// intervals.
 func RunDetect(a *pta.Analysis, opts race.Options, android bool, pairBudget int64) DetectRun {
 	opts.PairBudget = pairBudget
-	h0 := obs.ReadHeapCounters()
+	reg := opts.Obs
+	h := reg.HeapMark()
 	t0 := time.Now()
-	sharing := osa.AnalyzeWith(a, opts.Obs)
-	opts.Obs.HeapGauges("osa", h0)
-	h1 := obs.ReadHeapCounters()
-	t1 := time.Now()
-	g := shb.Build(a, shb.Config{AndroidEvents: android, Obs: opts.Obs})
-	opts.Obs.HeapGauges("shb", h1)
-	h2 := obs.ReadHeapCounters()
-	t2 := time.Now()
+	sharing := osa.AnalyzeWith(a, reg)
+	osaTime := time.Since(t0)
+	reg.HeapGauges("osa", h)
+	h = reg.HeapMark()
+	t0 = time.Now()
+	g := shb.Build(a, shb.Config{AndroidEvents: android, Obs: reg})
+	shbTime := time.Since(t0)
+	reg.HeapGauges("shb", h)
+	h = reg.HeapMark()
+	t0 = time.Now()
 	rep := race.Detect(a, sharing, g, opts)
-	t3 := time.Now()
-	opts.Obs.HeapGauges("detect", h2)
+	detectTime := time.Since(t0)
+	reg.HeapGauges("detect", h)
 	return DetectRun{
 		Sharing: sharing, Graph: g, Report: rep,
-		OSATime: t1.Sub(t0), SHBTime: t2.Sub(t1), Time: t3.Sub(t2),
+		OSATime: osaTime, SHBTime: shbTime, Time: detectTime,
 		TimedOut: rep.TimedOut,
 	}
 }

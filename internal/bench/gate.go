@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"o2/internal/obs"
-	"o2/internal/truth"
 	"o2/internal/workload"
 )
 
@@ -38,30 +37,16 @@ type GateReport struct {
 	// Batch is the report-only scheduler-throughput section (see
 	// BatchStats); it never participates in the golden comparison.
 	Batch *BatchStats `json:"batch,omitempty"`
-	// Eval is the ground-truth precision/recall report over the oracle
-	// corpus (internal/truth). It is gated against the checked-in
-	// internal/truth/baseline.json — recall must stay 1.0 and precision
-	// must not drop — rather than against the golden file, so it is
-	// stripped from the deterministic projection like Batch.
-	Eval *truth.EvalReport `json:"eval,omitempty"`
-	// Inc is the report-only warm-incremental section: cold/warm latency,
-	// dirty-unit ratio and speedup after a one-unit edit on three corpus
-	// programs. Latency-dependent, so never golden-gated.
-	Inc *IncGateStats `json:"incremental,omitempty"`
-	// Corpus is the report-only streamed-vs-eager throughput section over
-	// the truth corpus (see CorpusGateStats). All timing, never gated —
-	// but computing it hard-fails if the streaming pipeline's race counts
-	// diverge from the eager path's.
-	Corpus *CorpusGateStats `json:"corpus,omitempty"`
 	// GoSync is the report-only channel-heavy workload section (see
 	// GoSyncGateStats). Timing-dependent, never golden-gated — but
 	// computing it hard-fails if a channel/WaitGroup-ordered handoff
 	// field races.
 	GoSync *GoSyncGateStats `json:"gosync,omitempty"`
 	// AllocBudgets are the hard per-preset per-phase heap-allocation
-	// ceilings, keyed "preset/phase" (phases: pta, detect). Unlike the
-	// byte-compared counters, allocation counts jitter slightly (GC
-	// assists, timer goroutines), so -update-golden records measured×1.10
+	// ceilings, keyed "preset/phase" (phases: pta, detect), measured
+	// exactly (see obs.Registry.HeapMark). Unlike the byte-compared
+	// counters, allocation counts jitter slightly (GC assists, timer
+	// goroutines), so -update-golden records measured×1.10
 	// plus a small noise floor (see budgetFromMeasured) and every gate run
 	// fails if a phase allocates more than its ceiling
 	// — i.e. regresses by more than 10% over the recorded baseline. Times
@@ -193,21 +178,6 @@ func RunGate(o Opts) (*GateReport, error) {
 		return nil, err
 	}
 	rep.Batch = batch
-	ev, err := truth.Evaluate()
-	if err != nil {
-		return nil, fmt.Errorf("bench gate: eval: %w", err)
-	}
-	rep.Eval = ev
-	inc, err := RunIncGate()
-	if err != nil {
-		return nil, fmt.Errorf("bench gate: incremental: %w", err)
-	}
-	rep.Inc = inc
-	corpus, err := RunCorpusGate(0)
-	if err != nil {
-		return nil, fmt.Errorf("bench gate: corpus: %w", err)
-	}
-	rep.Corpus = corpus
 	gsPreset, ok := workload.ByName("gosync")
 	if !ok {
 		return nil, fmt.Errorf("bench gate: unknown preset %q", "gosync")
@@ -324,33 +294,10 @@ func Gate(w io.Writer, o Opts, goldenPath, statsPath string, update bool) error 
 			rep.Batch.Jobs, rep.Batch.JobsPerSec, rep.Batch.CacheHits,
 			rep.Batch.CacheHits+rep.Batch.CacheMisses, time.Duration(rep.Batch.WarmHitNS))
 	}
-	if rep.Inc != nil {
-		for _, p := range rep.Inc.Presets {
-			fmt.Fprintf(w, "bench gate: incremental %-20s warm=%-10v dirty=%.2f (%d/%d units) speedup=%.1fx [report-only]\n",
-				p.Name, time.Duration(p.WarmNS), p.DirtyRatio, p.UnitsRecomputed, p.UnitsTotal, p.Speedup)
-		}
-	}
-	if rep.Corpus != nil {
-		fmt.Fprintf(w, "bench gate: corpus %d programs eager %.1f/s stream %.1f/s (workers=%d, races=%d) [report-only]\n",
-			rep.Corpus.Programs, rep.Corpus.EagerPerSec, rep.Corpus.StreamPerSec,
-			rep.Corpus.Workers, rep.Corpus.Races)
-	}
 	if rep.GoSync != nil {
 		fmt.Fprintf(w, "bench gate: gosync %-10s races=%-3d pairs=%d shb=%d nodes/%d edges wall=%v [report-only]\n",
 			rep.GoSync.Preset, rep.GoSync.Races, rep.GoSync.Pairs,
 			rep.GoSync.SHBNodes, rep.GoSync.SHBEdges, time.Duration(rep.GoSync.WallNS))
-	}
-	if rep.Eval != nil {
-		t := rep.Eval.Total
-		fmt.Fprintf(w, "bench gate: eval precision=%.4f recall=%.4f f1=%.4f (tp=%d fp=%d fn=%d)\n",
-			t.Precision, t.Recall, t.F1, t.TP, t.FP, t.FN)
-		base, err := truth.Baseline()
-		if err != nil {
-			return fmt.Errorf("bench gate: baseline: %w", err)
-		}
-		if err := rep.Eval.CheckAgainstBaseline(base); err != nil {
-			return fmt.Errorf("bench gate: %w", err)
-		}
 	}
 	if update {
 		det := rep.Deterministic()

@@ -65,15 +65,13 @@ type RaceEntry struct {
 }
 
 // PhaseStats is the per-program RunStats summary every record carries:
-// phase wall times plus incremental-reuse counters when the stream runs
-// with summary sharing.
+// phase wall times.
 type PhaseStats struct {
-	PTANS    int64        `json:"pta_ns"`
-	OSANS    int64        `json:"osa_ns"`
-	SHBNS    int64        `json:"shb_ns"`
-	DetectNS int64        `json:"detect_ns"`
-	TotalNS  int64        `json:"total_ns"`
-	Inc      *o2.IncStats `json:"incremental,omitempty"`
+	PTANS    int64 `json:"pta_ns"`
+	OSANS    int64 `json:"osa_ns"`
+	SHBNS    int64 `json:"shb_ns"`
+	DetectNS int64 `json:"detect_ns"`
+	TotalNS  int64 `json:"total_ns"`
 }
 
 // Record is one program's result in the streamed NDJSON output: exactly
@@ -121,7 +119,6 @@ func NewRecord(cr o2.CorpusResult) *Record {
 		SHBNS:    int64(res.SHBTime),
 		DetectNS: int64(res.DetectTime),
 		TotalNS:  int64(res.TotalTime()),
-		Inc:      res.Inc,
 	}
 	rec.RunStats = res.RunStats
 	for i := range races {

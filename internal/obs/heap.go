@@ -1,6 +1,6 @@
 package obs
 
-import "runtime/metrics"
+import "runtime"
 
 // HeapCounters is a snapshot of the runtime's cumulative heap-allocation
 // totals. Both values are monotonically increasing over the life of the
@@ -12,24 +12,23 @@ type HeapCounters struct {
 	Bytes   uint64
 }
 
-// ReadHeapCounters samples the cumulative heap allocation totals via
-// runtime/metrics, which reads the already-maintained counters without a
-// stop-the-world (unlike runtime.ReadMemStats). Cheap enough to call at
-// phase boundaries inside a benchmark.
-func ReadHeapCounters() HeapCounters {
-	samples := [2]metrics.Sample{
-		{Name: "/gc/heap/allocs:objects"},
-		{Name: "/gc/heap/allocs:bytes"},
+// HeapMark samples the exact cumulative allocation totals when the
+// registry is enabled and returns the zero value otherwise. It reads
+// runtime.ReadMemStats, which flushes every P's allocation cache first:
+// runtime/metrics totals miss what those caches still hold, so their
+// phase attribution shifts with GOMAXPROCS. ReadMemStats stops the world,
+// so callers take marks only outside their timed intervals.
+func (r *Registry) HeapMark() HeapCounters {
+	if !r.Enabled() {
+		return HeapCounters{}
 	}
-	metrics.Read(samples[:])
-	return HeapCounters{
-		Objects: samples[0].Value.Uint64(),
-		Bytes:   samples[1].Value.Uint64(),
-	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return HeapCounters{Objects: ms.Mallocs, Bytes: ms.TotalAlloc}
 }
 
-// HeapGauges publishes the allocation delta since the given baseline as
-// two gauges, "<phase>.heap_allocs" and "<phase>.heap_bytes". The
+// HeapGauges publishes the allocation delta since the given mark as two
+// gauges, "<phase>.heap_allocs" and "<phase>.heap_bytes". The
 // "_allocs"/"_bytes" suffixes mark them as non-deterministic (GC assists
 // and timer goroutines allocate too), so RunStats.Deterministic strips
 // them alongside the "_ns" times; CI gates them through explicit budgets
@@ -38,7 +37,7 @@ func (r *Registry) HeapGauges(phase string, base HeapCounters) {
 	if !r.Enabled() {
 		return
 	}
-	now := ReadHeapCounters()
+	now := r.HeapMark()
 	r.SetGauge(phase+".heap_allocs", int64(now.Objects-base.Objects))
 	r.SetGauge(phase+".heap_bytes", int64(now.Bytes-base.Bytes))
 }

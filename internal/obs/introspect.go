@@ -26,10 +26,10 @@ type OriginCost struct {
 	ID     int    `json:"id"`
 	Origin string `json:"origin"` // deterministic label, e.g. "O2(go entry@site1)"
 
-	CGNodes   int64            `json:"cg_nodes,omitempty"`  // pta call-graph contexts rooted in this origin
-	Accesses  int64            `json:"accesses,omitempty"`  // shared accesses executed by this origin
+	CGNodes   int64            `json:"cg_nodes,omitempty"` // pta call-graph contexts rooted in this origin
+	Accesses  int64            `json:"accesses,omitempty"` // shared accesses executed by this origin
 	Writes    int64            `json:"writes,omitempty"`
-	Segments  int64            `json:"segments,omitempty"`  // SHB segments owned by this origin
+	Segments  int64            `json:"segments,omitempty"` // SHB segments owned by this origin
 	SHBNodes  int64            `json:"shb_nodes,omitempty"`
 	SHBEdges  int64            `json:"shb_edges,omitempty"` // out-edges from this origin's segments
 	NodeKinds map[string]int64 `json:"shb_nodes_by_kind,omitempty"`

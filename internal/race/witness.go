@@ -106,6 +106,10 @@ type OrderEvidence struct {
 // solved analysis and SHB graph. It only reads immutable analysis state,
 // so witnesses for many races may be built concurrently.
 func BuildWitness(a *pta.Analysis, g *shb.Graph, r *Race) *Witness {
+	return buildWitness(a, g, r, func(id pta.OriginID) OriginInfo { return originInfo(a, id) })
+}
+
+func buildWitness(a *pta.Analysis, g *shb.Graph, r *Race, info func(pta.OriginID) OriginInfo) *Witness {
 	na, nb := &g.Nodes[r.A.Node], &g.Nodes[r.B.Node]
 	la := lockNames(a, g.Locksets.Set(na.Locks))
 	lb := lockNames(a, g.Locksets.Set(nb.Locks))
@@ -113,8 +117,8 @@ func BuildWitness(a *pta.Analysis, g *shb.Graph, r *Race) *Witness {
 	w := &Witness{
 		Schema:   WitnessSchema,
 		Location: r.Key.String(),
-		A:        witnessAccess(a, r.A),
-		B:        witnessAccess(a, r.B),
+		A:        witnessAccess(r.A, info),
+		B:        witnessAccess(r.B, info),
 		Locks: LockEvidence{
 			A:      la,
 			B:      lb,
@@ -149,11 +153,23 @@ func BuildWitness(a *pta.Analysis, g *shb.Graph, r *Race) *Witness {
 	return w
 }
 
-// Witnesses builds one witness per reported race, in report order.
+// Witnesses builds one witness per reported race, in report order. Each
+// origin is described once and its OriginInfo shared by every witness
+// that names it: a report holds up to one race per pair of accesses but
+// only as many origins as the program spawns.
 func Witnesses(a *pta.Analysis, g *shb.Graph, rep *Report) []*Witness {
+	infos := map[pta.OriginID]OriginInfo{}
+	info := func(id pta.OriginID) OriginInfo {
+		oi, ok := infos[id]
+		if !ok {
+			oi = originInfo(a, id)
+			infos[id] = oi
+		}
+		return oi
+	}
 	out := make([]*Witness, len(rep.Races))
 	for i := range rep.Races {
-		out[i] = BuildWitness(a, g, &rep.Races[i])
+		out[i] = buildWitness(a, g, &rep.Races[i], info)
 	}
 	return out
 }
@@ -163,8 +179,13 @@ func (w *Witness) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(w, "", "  ")
 }
 
-func witnessAccess(a *pta.Analysis, acc Access) WitnessAccess {
-	org := a.Origins.Get(acc.Origin)
+func witnessAccess(acc Access, info func(pta.OriginID) OriginInfo) WitnessAccess {
+	return WitnessAccess{Op: op(acc.Write), Pos: acc.Pos.String(), Fn: acc.Fn, Origin: info(acc.Origin)}
+}
+
+// originInfo describes the origin executing an access.
+func originInfo(a *pta.Analysis, id pta.OriginID) OriginInfo {
+	org := a.Origins.Get(id)
 	info := OriginInfo{
 		ID:         uint32(org.ID),
 		Kind:       org.Kind.String(),
@@ -176,7 +197,7 @@ func witnessAccess(a *pta.Analysis, acc Access) WitnessAccess {
 	if org.ID != pta.MainOrigin {
 		info.SpawnPos = org.Pos.String()
 	}
-	return WitnessAccess{Op: op(acc.Write), Pos: acc.Pos.String(), Fn: acc.Fn, Origin: info}
+	return info
 }
 
 // spawnChain walks Parent links from the access's origin to main, leaf

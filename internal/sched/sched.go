@@ -4,8 +4,8 @@
 // graceful shutdown that drains in-flight jobs, and an LRU result cache
 // keyed by (source hash, config fingerprint) so repeated submissions of
 // unchanged programs complete in microseconds. It is the engine behind
-// `o2 serve` and `o2 batch` — the RacerD-style deployment shape of a
-// static race detector analyzing many compilation units concurrently.
+// `o2 serve` — the RacerD-style deployment shape of a static race
+// detector analyzing many compilation units concurrently.
 package sched
 
 import (
@@ -24,7 +24,6 @@ import (
 	"o2"
 	"o2/internal/obs"
 	"o2/internal/race"
-	"o2/internal/summary"
 )
 
 // Sentinel errors of the scheduler.
@@ -96,15 +95,6 @@ type Options struct {
 	// CollectStats gives every job its own obs.Registry and attaches the
 	// frozen RunStats report to the job summary.
 	CollectStats bool
-	// Incremental routes jobs through per-unit summary reuse: behind the
-	// whole-program result cache sits a shared unit-summary store, so a
-	// resubmission with one edited function replays every clean unit and
-	// lowers only the dirty ones. Reports are identical to the full
-	// pipeline by construction.
-	Incremental bool
-	// UnitCacheEntries bounds the per-unit summary store when Incremental
-	// is set (0 defaults to summary.DefaultStoreEntries).
-	UnitCacheEntries int
 	// Log receives structured job-lifecycle events (submit, cache hit,
 	// start, finish) with job/request IDs. Nil disables logging — every
 	// log site is a single nil check, mirroring the obs layer's design.
@@ -200,9 +190,6 @@ type Summary struct {
 	// Cached reports that this summary was served from the result cache;
 	// the timings are those of the original (cold) run.
 	Cached bool `json:"cached,omitempty"`
-	// Inc reports per-unit summary reuse when the scheduler runs
-	// incrementally (nil on the whole-program path).
-	Inc *o2.IncStats `json:"incremental,omitempty"`
 }
 
 func summarize(res *o2.Result) *Summary {
@@ -215,9 +202,9 @@ func summarize(res *o2.Result) *Summary {
 		DetectNS: int64(res.DetectTime),
 		TotalNS:  int64(res.TotalTime()),
 		Stats:    res.RunStats,
-		Inc:      res.Inc,
 	}
 	races := res.Races()
+	witnesses := race.Witnesses(res.Analysis, res.Graph, res.Report)
 	for i := range races {
 		r := &races[i]
 		mk := func(write bool, pos, fn string, origin string) RaceAccess {
@@ -231,7 +218,7 @@ func summarize(res *o2.Result) *Summary {
 			Location: r.Key.String(),
 			A:        mk(r.A.Write, r.A.Pos.String(), r.A.Fn, res.Analysis.Origins.Get(r.A.Origin).String()),
 			B:        mk(r.B.Write, r.B.Pos.String(), r.B.Fn, res.Analysis.Origins.Get(r.B.Origin).String()),
-			Witness:  race.BuildWitness(res.Analysis, res.Graph, r),
+			Witness:  witnesses[i],
 		})
 	}
 	return s
@@ -379,28 +366,15 @@ type Stats struct {
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheEvictions int64 `json:"cache_evictions"`
 	CacheEntries   int   `json:"cache_entries"`
-
-	// Unit* mirror the per-unit summary store (all zero unless the
-	// scheduler runs with Options.Incremental). A unit miss is exactly a
-	// dirty unit, so UnitMisses/(UnitHits+UnitMisses) is the fleet-wide
-	// dirty ratio.
-	UnitHits      int64 `json:"unit_hits,omitempty"`
-	UnitMisses    int64 `json:"unit_misses,omitempty"`
-	UnitEvictions int64 `json:"unit_evictions,omitempty"`
-	UnitEntries   int   `json:"unit_entries,omitempty"`
 }
 
 // Scheduler is the bounded-worker batch analysis service.
 type Scheduler struct {
-	opts  Options
+	opts Options
+	// queue is the bounded admission queue. Sends (Submit) and its close
+	// (Shutdown) both happen under mu, so a send never meets a closed
+	// channel.
 	queue chan *Job
-	// sem is the admission semaphore: exactly one token is held per
-	// queued job (released when a worker dequeues it), so a queue send
-	// under a token never blocks. Submit tries the token non-blocking
-	// (ErrQueueFull backpressure); SubmitWait blocks on it — the
-	// submit-side flow control the streaming frontends rely on.
-	sem  chan struct{}
-	stop chan struct{} // closed by Shutdown to unblock SubmitWait
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -410,7 +384,6 @@ type Scheduler struct {
 	seq    int64
 
 	cache *lru
-	units *summary.Store // per-unit summaries behind the result cache; nil unless Options.Incremental
 	wg    sync.WaitGroup
 
 	submitted atomic.Int64
@@ -427,16 +400,11 @@ func New(opts Options) *Scheduler {
 	s := &Scheduler{
 		opts:  opts,
 		queue: make(chan *Job, opts.QueueDepth),
-		sem:   make(chan struct{}, opts.QueueDepth),
-		stop:  make(chan struct{}),
 		jobs:  map[string]*Job{},
 		reqs:  map[string]Request{},
 	}
 	if opts.CacheEntries > 0 {
 		s.cache = newLRU(opts.CacheEntries)
-	}
-	if opts.Incremental {
-		s.units = summary.NewStore(opts.UnitCacheEntries)
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -445,16 +413,13 @@ func New(opts Options) *Scheduler {
 	return s
 }
 
-// cacheKey derives the result-cache key: the summary schema version,
-// then the SHA-256 of the sorted (filename, source) pairs combined with
-// the config fingerprint. Two requests collide only if both the full
-// source hash and every report-affecting config field agree. The schema
-// version sits in front of the whole-program key for the same reason it
-// sits inside every per-unit key: a binary with a different summary
-// format must never serve results cached by an older one.
+// cacheKey derives the result-cache key: the SHA-256 of the sorted
+// (filename, source) pairs combined with the config fingerprint. Two
+// requests collide only if both the full source hash and every
+// report-affecting config field agree. The cache lives in process
+// memory, so only this binary's results can ever be looked up.
 func cacheKey(req Request) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "schema:%d:", summary.Schema)
 	names := make([]string, 0, len(req.Files))
 	for n := range req.Files {
 		names = append(names, n)
@@ -473,20 +438,6 @@ func cacheKey(req Request) string {
 // cache hit completes the job immediately — without entering the queue —
 // in microseconds.
 func (s *Scheduler) Submit(req Request) (*Job, error) {
-	return s.submit(context.Background(), req, false)
-}
-
-// SubmitWait admits a job like Submit, but blocks while the admission
-// queue is full until space frees, ctx ends (returning ctx's error), or
-// the scheduler shuts down. It is the submit-side flow control of the
-// streaming frontends: a corpus producer calls SubmitWait in a loop and
-// the bounded queue throttles it to the workers' pace instead of
-// forcing a retry loop around ErrQueueFull.
-func (s *Scheduler) SubmitWait(ctx context.Context, req Request) (*Job, error) {
-	return s.submit(ctx, req, true)
-}
-
-func (s *Scheduler) submit(ctx context.Context, req Request, wait bool) (*Job, error) {
 	if len(req.Files) == 0 && len(req.Sources) > 0 {
 		files := make(map[string]string, len(req.Sources))
 		for _, src := range req.Sources {
@@ -529,7 +480,7 @@ func (s *Scheduler) submit(ctx context.Context, req Request, wait bool) (*Job, e
 	s.mu.Unlock()
 
 	// Cache lookup before admission: a hit never consumes a worker or a
-	// queue token. A second lookup happens at dispatch (runJob) so that
+	// queue slot. A second lookup happens at dispatch (runJob) so that
 	// identical requests submitted back-to-back — before the first one
 	// finished — still hit once the first result lands. Misses are
 	// counted there, when a job actually runs.
@@ -543,40 +494,24 @@ func (s *Scheduler) submit(ctx context.Context, req Request, wait bool) (*Job, e
 		}
 	}
 
-	// Acquire an admission token; holding one guarantees queue space.
-	drop := func(err error) (*Job, error) {
-		s.mu.Lock()
+	// Admission: a non-blocking send under mu (see Scheduler.queue).
+	s.mu.Lock()
+	err := ErrShutdown
+	if !s.closed {
+		select {
+		case s.queue <- j:
+			err = nil
+		default:
+			err = ErrQueueFull
+		}
+	}
+	if err != nil {
 		delete(s.jobs, j.ID)
 		s.mu.Unlock()
 		s.rejected.Add(1)
 		return nil, err
 	}
-	if wait {
-		select {
-		case s.sem <- struct{}{}:
-		case <-s.stop:
-			return drop(ErrShutdown)
-		case <-ctx.Done():
-			return drop(ctx.Err())
-		}
-	} else {
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			return drop(ErrQueueFull)
-		}
-	}
-
-	s.mu.Lock()
-	if s.closed { // Shutdown raced the token acquisition
-		delete(s.jobs, j.ID)
-		s.mu.Unlock()
-		<-s.sem // hand the token back
-		s.rejected.Add(1)
-		return nil, ErrShutdown
-	}
 	s.reqs[j.ID] = req
-	s.queue <- j // never blocks: one token per queued job
 	s.mu.Unlock()
 	s.submitted.Add(1)
 	s.log("job queued", j, "files", len(req.Files))
@@ -706,11 +641,6 @@ func (s *Scheduler) Stats() Stats {
 		hits, misses, evictions, entries := s.cache.stats()
 		st.CacheHits, st.CacheMisses, st.CacheEvictions, st.CacheEntries = hits, misses, evictions, entries
 	}
-	if s.units != nil {
-		ust := s.units.Stats()
-		st.UnitHits, st.UnitMisses, st.UnitEvictions, st.UnitEntries =
-			ust.Hits, ust.Misses, ust.Evictions, ust.Entries
-	}
 	return st
 }
 
@@ -726,7 +656,6 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 	}
 	s.closed = true
 	close(s.queue)
-	close(s.stop)
 	s.mu.Unlock()
 
 	drained := make(chan struct{})
@@ -757,7 +686,6 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
-		<-s.sem // dequeue releases the admission token
 		s.mu.Lock()
 		req, ok := s.reqs[j.ID]
 		delete(s.reqs, j.ID)
@@ -817,20 +745,10 @@ func (s *Scheduler) runJob(j *Job, req Request) {
 	}
 	cfg.Progress = prog
 
-	var res *o2.Result
-	var err error
-	if s.units != nil {
-		// Incremental: the whole-program cache above already missed, so
-		// replay clean units out of the shared summary store and lower
-		// only the dirty ones. Compile errors surface as o2.ErrCompile,
-		// which Classify maps to the parse kind.
-		res, err = o2.AnalyzeIncremental(ctx, req.Files, cfg, s.units)
-	} else {
-		res, err = o2.AnalyzeSources(ctx, sourcesOf(req.Files), cfg)
-	}
+	res, err := o2.AnalyzeSources(ctx, sourcesOf(req.Files), cfg)
 	if errors.Is(err, o2.ErrCompile) {
 		// Keep the scheduler's own parse sentinel on the job so clients
-		// branching on ErrParse keep working across both pipelines.
+		// branching on ErrParse keep working.
 		err = fmt.Errorf("%w: %v", ErrParse, err)
 	}
 	switch Classify(err) {

@@ -509,83 +509,65 @@ func TestSubmitSources(t *testing.T) {
 	}
 }
 
-// fullQueue builds a 1-worker, depth-1 scheduler whose worker is pinned
-// on a long job and whose queue token is held by a second job, so any
-// further admission must wait.
-func fullQueue(t *testing.T) (*Scheduler, *Job, *Job) {
-	t.Helper()
-	s := New(Options{Workers: 1, QueueDepth: 1, CacheEntries: -1})
-	blocker, err := s.Submit(Request{Files: map[string]string{"big.mini": genSource(320)}, Config: o2.DefaultConfig()})
-	if err != nil {
-		t.Fatal(err)
+// TestCacheKeyStable: the key is stable for identical requests and
+// distinct across sources.
+func TestCacheKeyStable(t *testing.T) {
+	if cacheKey(req(racySrc)) != cacheKey(req(racySrc)) {
+		t.Error("identical requests must share a cache key")
 	}
-	for blocker.State() == Queued {
-		time.Sleep(time.Millisecond)
-	}
-	filler, err := s.Submit(req(racySrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, blocker, filler
-}
-
-func TestSubmitWaitBlocksThenAdmits(t *testing.T) {
-	s, blocker, filler := fullQueue(t)
-	defer s.Shutdown(context.Background())
-
-	// A deadline-bound SubmitWait on a full queue gives up with the
-	// context's error — not ErrQueueFull, which is Submit's signal.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := s.SubmitWait(ctx, req(cleanSrc)); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("SubmitWait(full queue, deadline) = %v, want DeadlineExceeded", err)
-	}
-
-	done := make(chan *Job, 1)
-	go func() {
-		j, err := s.SubmitWait(context.Background(), req(cleanSrc))
-		if err != nil {
-			t.Error(err)
-		}
-		done <- j
-	}()
-	select {
-	case <-done:
-		if blocker.State() == Running {
-			t.Fatal("SubmitWait returned while the queue was full")
-		}
-	case <-time.After(20 * time.Millisecond):
-	}
-	waitDone(t, blocker)
-	var waited *Job
-	select {
-	case waited = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("SubmitWait never unblocked after the queue drained")
-	}
-	if waited == nil {
-		t.Fatal("SubmitWait returned a nil job")
-	}
-	waitDone(t, filler)
-	waitDone(t, waited)
-	if waited.State() != Done {
-		t.Fatalf("waited job state=%s err=%v", waited.State(), waited.Err())
+	if cacheKey(req(racySrc)) == cacheKey(req(cleanSrc)) {
+		t.Error("different sources must not share a cache key")
 	}
 }
 
-func TestSubmitWaitShutdownUnblocks(t *testing.T) {
-	s, _, _ := fullQueue(t)
-
-	errc := make(chan error, 1)
-	go func() {
-		_, err := s.SubmitWait(context.Background(), req(cleanSrc))
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+// TestSubmitShutdownRace races submissions against Shutdown (run under
+// -race in CI): every Submit either admits a job that then drains to a
+// terminal state, or fails with ErrQueueFull or, once Shutdown started,
+// ErrShutdown. A send on the closed queue would panic.
+func TestSubmitShutdownRace(t *testing.T) {
+	s := New(Options{Workers: 2, QueueDepth: 2, CacheEntries: -1})
+	const submitters = 4
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		admitted []*Job
+	)
+	running := make(chan struct{}, submitters)
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				j, err := s.Submit(req(racySrc))
+				if i == 0 {
+					running <- struct{}{}
+				}
+				switch {
+				case err == nil:
+					mu.Lock()
+					admitted = append(admitted, j)
+					mu.Unlock()
+				case errors.Is(err, ErrShutdown):
+					return
+				case !errors.Is(err, ErrQueueFull):
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < submitters; g++ {
+		<-running
+	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errc; !errors.Is(err, ErrShutdown) {
-		t.Fatalf("SubmitWait during shutdown = %v, want ErrShutdown", err)
+	wg.Wait()
+	for _, j := range admitted {
+		select {
+		case <-j.Done():
+		default:
+			t.Fatalf("admitted job %s not finished after drain", j.ID)
+		}
 	}
 }

@@ -461,10 +461,6 @@ func (s *Server) mirrorSchedStats() sched.Stats {
 	s.reg.Counter("sched.cache_hits").Set(st.CacheHits)
 	s.reg.Counter("sched.cache_misses").Set(st.CacheMisses)
 	s.reg.Counter("sched.cache_evictions").Set(st.CacheEvictions)
-	s.reg.Counter("sched.unit_hits").Set(st.UnitHits)
-	s.reg.Counter("sched.unit_misses").Set(st.UnitMisses)
-	s.reg.Counter("sched.unit_evictions").Set(st.UnitEvictions)
-	s.reg.SetGauge("sched.unit_entries", int64(st.UnitEntries))
 	s.reg.SetGauge("sched.workers", int64(st.Workers))
 	s.reg.SetGauge("sched.queue_depth", int64(st.QueueLen))
 	s.reg.SetGauge("sched.queue_capacity", int64(st.QueueDepth))

@@ -1,6 +1,7 @@
 package truth
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -117,7 +118,7 @@ func ablations() []ablationCase {
 func ablatedKeys(p *Program, mutate func(*o2.Config)) ([]report.RaceKey, error) {
 	cfg := p.Config()
 	mutate(&cfg)
-	res, err := o2.AnalyzeSource(p.File, p.Source, cfg)
+	res, err := o2.AnalyzeSourceCtx(context.Background(), p.File, p.Source, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}

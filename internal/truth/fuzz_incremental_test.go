@@ -78,14 +78,14 @@ func FuzzIncremental(f *testing.F) {
 			t.Skip("oversized input")
 		}
 		cfg := fuzzCfg()
-		full, err := o2.AnalyzeSource("fuzz.mini", src, cfg)
+		full, err := o2.AnalyzeSourceCtx(context.Background(), "fuzz.mini", src, cfg)
 		if err != nil {
 			t.Skip("base program does not analyze")
 		}
 		base := report.Canonical(full.Report, full.Analysis.Origins)
 
 		store := summary.NewStore(0)
-		cold, err := o2.AnalyzeSourceIncremental(context.Background(), "fuzz.mini", src, cfg, store)
+		cold, err := o2.AnalyzeIncremental(context.Background(), map[string]string{"fuzz.mini": src}, cfg, store)
 		if err != nil {
 			if budgetErr(err) {
 				t.Skip("incremental run over budget")
@@ -102,12 +102,12 @@ func FuzzIncremental(f *testing.F) {
 		if !ok {
 			return
 		}
-		efull, err := o2.AnalyzeSource("fuzz.mini", edited, cfg)
+		efull, err := o2.AnalyzeSourceCtx(context.Background(), "fuzz.mini", edited, cfg)
 		if err != nil {
 			t.Skip("edited program does not analyze") // parse, semantic or budget error
 		}
 		ebase := report.Canonical(efull.Report, efull.Analysis.Origins)
-		warm, err := o2.AnalyzeSourceIncremental(context.Background(), "fuzz.mini", edited, cfg, store)
+		warm, err := o2.AnalyzeIncremental(context.Background(), map[string]string{"fuzz.mini": edited}, cfg, store)
 		if err != nil {
 			if budgetErr(err) {
 				t.Skip("warm incremental run over budget")

@@ -25,7 +25,7 @@ func (p *Program) IncrementalKeys(store *summary.Store) ([]report.RaceKey, *o2.I
 // incrementalKeysText analyzes replacement source text for p through
 // the incremental path (same file name, so keys stay comparable).
 func incrementalKeysText(p *Program, text string, store *summary.Store) ([]report.RaceKey, *o2.IncStats, error) {
-	res, err := o2.AnalyzeSourceIncremental(context.Background(), p.File, text, p.Config(), store)
+	res, err := o2.AnalyzeIncremental(context.Background(), map[string]string{p.File: text}, p.Config(), store)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", p.Name, err)
 	}

@@ -199,7 +199,7 @@ func TestIncrementalOneUnitEdit(t *testing.T) {
 	reg := obs.New()
 	cfg := p.Config()
 	cfg.Obs = reg
-	ires, err := o2.AnalyzeSourceIncremental(context.Background(), p.File, edited, cfg, store)
+	ires, err := o2.AnalyzeIncremental(context.Background(), map[string]string{p.File: edited}, cfg, store)
 	if err != nil {
 		t.Fatalf("warm incremental analysis: %v", err)
 	}

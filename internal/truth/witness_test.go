@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"o2/internal/race"
@@ -47,7 +48,15 @@ func witnessReport(t *testing.T) []byte {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		report[name] = race.Witnesses(res.Analysis, res.Graph, res.Report)
+		ws := race.Witnesses(res.Analysis, res.Graph, res.Report)
+		// Witnesses shares one OriginInfo per origin; each witness must
+		// equal the one BuildWitness derives for its race alone.
+		for i := range ws {
+			if one := race.BuildWitness(res.Analysis, res.Graph, &res.Report.Races[i]); !reflect.DeepEqual(one, ws[i]) {
+				t.Errorf("%s race %d: Witnesses and BuildWitness disagree", name, i)
+			}
+		}
+		report[name] = ws
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

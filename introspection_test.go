@@ -2,6 +2,7 @@ package o2
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"o2/internal/ir"
@@ -18,7 +19,7 @@ func analyzePresetStats(t *testing.T, preset string) *obs.RunStats {
 	prog := workload.Build(p, ir.DefaultEntryConfig())
 	cfg := DefaultConfig()
 	cfg.Obs = obs.New()
-	res, err := AnalyzeProgram(prog, cfg)
+	res, err := Analyze(context.Background(), prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,20 +71,24 @@ func TestIntrospectionShape(t *testing.T) {
 	}
 }
 
-// TestIntrospectionByteStability runs the same workload twice at the
+// TestIntrospectionByteStability runs each workload twice at the
 // default (parallel) worker count and requires byte-identical
 // deterministic projections — the property CI leans on to diff
 // introspection reports across runs.
 func TestIntrospectionByteStability(t *testing.T) {
-	first, err := analyzePresetStats(t, "avrora").Deterministic().MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := analyzePresetStats(t, "avrora").Deterministic().MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatalf("deterministic projections differ across runs\nfirst:\n%s\nsecond:\n%s", first, second)
+	for _, preset := range []string{"avrora", "zookeeper"} {
+		t.Run(preset, func(t *testing.T) {
+			first, err := analyzePresetStats(t, preset).Deterministic().MarshalIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := analyzePresetStats(t, preset).Deterministic().MarshalIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first, second) {
+				t.Fatalf("deterministic projections differ across runs\nfirst:\n%s\nsecond:\n%s", first, second)
+			}
+		})
 	}
 }

@@ -16,8 +16,6 @@
 // Source values), and AnalyzeCorpus (a streamed corpus of independent
 // programs, analyzed in parallel with input-ordered emission).
 // Cancellation and deadlines propagate into every pipeline stage.
-// AnalyzeSource and AnalyzeProgram are thin context.Background legacy
-// wrappers kept for convenience.
 package o2
 
 import (
@@ -251,28 +249,12 @@ func entriesFingerprint(e ir.EntryConfig) string {
 		part(e.WgAddMethods) + part(e.WgDoneMethods) + part(e.WgWaitMethods)
 }
 
-// AnalyzeSource is the legacy convenience wrapper over AnalyzeSourceCtx
-// with context.Background(): no cancellation, no deadline beyond
-// Config.TimeBudget. New code should call AnalyzeSourceCtx (or
-// AnalyzeSources for multi-file programs) and pass a real context.
-func AnalyzeSource(filename, src string, cfg Config) (*Result, error) {
-	return AnalyzeSourceCtx(context.Background(), filename, src, cfg)
-}
-
 // AnalyzeSourceCtx compiles one minilang source and analyzes it under a
 // context; see Analyze for the cancellation contract. It is the
 // single-file form of AnalyzeSources, sharing its ErrCompile tagging of
 // front-end failures.
 func AnalyzeSourceCtx(ctx context.Context, filename, src string, cfg Config) (*Result, error) {
 	return AnalyzeSources(ctx, []Source{{Name: filename, Bytes: []byte(src)}}, cfg)
-}
-
-// AnalyzeProgram is the legacy convenience wrapper over Analyze with
-// context.Background(): no cancellation or deadline beyond
-// Config.TimeBudget. New code should call Analyze and pass a real
-// context.
-func AnalyzeProgram(prog *ir.Program, cfg Config) (*Result, error) {
-	return Analyze(context.Background(), prog, cfg)
 }
 
 // Analyze is the primary entry point: it runs the full pipeline (pointer

@@ -2,6 +2,7 @@ package o2
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -117,7 +118,7 @@ func analyzeAvrora(t *testing.T, reg *obs.Registry) *obs.RunStats {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	cfg.Obs = reg
-	res, err := AnalyzeProgram(prog, cfg)
+	res, err := Analyze(context.Background(), prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
