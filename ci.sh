@@ -8,6 +8,7 @@
 #   ./ci.sh                 run everything
 #   ./ci.sh bench-gate      run only the bench gate (emits BENCH_ci.json)
 #   ./ci.sh bench-variance  run only the timing-noise gate (emits VARIANCE_ci.json)
+#   ./ci.sh bench-frontend  run one pass of the frontend throughput benchmark
 #   ./ci.sh cover           run only the coverage floors
 #   ./ci.sh race            run only the race-detector pass
 #   ./ci.sh smoke           run only the serve/batch end-to-end smoke
@@ -28,6 +29,14 @@ bench_gate() {
 # correctness failures.
 bench_variance() {
 	go run ./cmd/o2bench -table variance -stats-json VARIANCE_ci.json
+}
+
+# Frontend throughput: one pass of BenchmarkFrontend (lang.Parse and
+# lang.CompileFiles over the truth corpus and a generated 200-class
+# program), so the benchmark keeps building and running. The numbers are
+# informational; nothing is gated on them.
+bench_frontend() {
+	go test -run '^$' -bench Frontend -benchtime 1x ./internal/lang/
 }
 
 # Precision gate over the ground-truth oracle corpus (internal/truth):
@@ -187,6 +196,10 @@ bench-variance)
 	bench_variance
 	exit 0
 	;;
+bench-frontend)
+	bench_frontend
+	exit 0
+	;;
 cover)
 	cover
 	exit 0
@@ -209,7 +222,7 @@ eval)
 	;;
 all) ;;
 *)
-	echo "usage: ./ci.sh [bench-gate|bench-variance|cover|race|smoke|telemetry|eval]" >&2
+	echo "usage: ./ci.sh [bench-gate|bench-variance|bench-frontend|cover|race|smoke|telemetry|eval]" >&2
 	exit 2
 	;;
 esac
@@ -224,3 +237,4 @@ telemetry
 eval_gate
 bench_gate
 bench_variance
+bench_frontend
