@@ -136,17 +136,34 @@ func (f *Func) Simple() string {
 
 func (f *Func) String() string { return f.Name }
 
+// scanLocals is the number of locals up to which Var finds a name by
+// scanning Locals; a function with more gets a name index.
+const scanLocals = 16
+
 // Var returns the variable named name, creating it as a local if absent.
 func (f *Func) Var(name string) *Var {
-	if v, ok := f.vars[name]; ok {
-		return v
+	if f.vars != nil {
+		if v, ok := f.vars[name]; ok {
+			return v
+		}
+	} else {
+		for _, v := range f.Locals {
+			if v.Name == name {
+				return v
+			}
+		}
 	}
-	v := &Var{Name: name, Func: f, ID: len(f.vars)}
-	if f.vars == nil {
-		f.vars = map[string]*Var{}
-	}
-	f.vars[name] = v
+	v := &Var{Name: name, Func: f, ID: len(f.Locals)}
 	f.Locals = append(f.Locals, v)
+	switch {
+	case f.vars != nil:
+		f.vars[name] = v
+	case len(f.Locals) > scanLocals:
+		f.vars = make(map[string]*Var, 2*len(f.Locals))
+		for _, l := range f.Locals {
+			f.vars[l.Name] = l
+		}
+	}
 	return v
 }
 
@@ -160,7 +177,7 @@ func (f *Func) ResetBody() {
 	params := f.Params
 	f.Params = nil
 	f.Locals = nil
-	f.vars = map[string]*Var{}
+	f.vars = nil
 	for _, p := range params {
 		f.Params = append(f.Params, f.Var(p.Name))
 	}
@@ -206,8 +223,9 @@ func (p *Program) NewFunc(class *Class, name string, params ...string) *Func {
 	if class != nil {
 		qname = class.Name + "." + name
 	}
-	f := &Func{Name: qname, Class: class, vars: map[string]*Var{}}
+	f := &Func{Name: qname, Class: class}
 	if class != nil {
+		f.Params = make([]*Var, 0, 1+len(params))
 		f.Params = append(f.Params, f.Var("this"))
 		class.Methods[name] = f
 	}

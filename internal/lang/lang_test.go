@@ -16,8 +16,25 @@ func compile(t *testing.T, src string) *ir.Program {
 	return prog
 }
 
+// scanAll reads src through the scanner into a token slice ending in
+// EOF, or returns the first lexical error.
+func scanAll(file, src string) ([]token, error) {
+	s := &scanner{src: src, file: file, line: 1}
+	var toks []token
+	for {
+		t := s.scan()
+		if s.err != nil {
+			return nil, s.err
+		}
+		toks = append(toks, t)
+		if t.kind == tEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexBasics(t *testing.T) {
-	toks, err := lex("t", `class Foo { field x; } // comment
+	toks, err := scanAll("t", `class Foo { field x; } // comment
 /* block
 comment */ main { x = new Foo(); }`)
 	if err != nil {
@@ -37,7 +54,7 @@ comment */ main { x = new Foo(); }`)
 }
 
 func TestLexLineNumbers(t *testing.T) {
-	toks, err := lex("t", "a\nb\n\nc")
+	toks, err := scanAll("t", "a\nb\n\nc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +68,56 @@ func TestLexLineNumbers(t *testing.T) {
 
 func TestLexErrors(t *testing.T) {
 	for _, src := range []string{"/* unterminated", `"unterminated`, "class @"} {
-		if _, err := lex("t", src); err == nil {
-			t.Errorf("lex(%q) should fail", src)
+		if _, err := scanAll("t", src); err == nil {
+			t.Errorf("scanAll(%q) should fail", src)
 		}
 	}
+}
+
+// TestLexErrorPrecedence: the scanner runs ahead of the parser only as
+// far as it consumes, yet the first lexical error anywhere in the input
+// still wins over a parse error before it, as with a whole-file lexer.
+func TestLexErrorPrecedence(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`class A { 1 } "open`, "t:1: unterminated string"},
+		{"main { x = null; } /* open", "t:1: unterminated block comment"},
+		{`main { x = "s" } @`, "t:1: unexpected character '@'"},
+		{"main {\n x = ; }\n\n/*\n", "t:4: unterminated block comment"},
+	} {
+		_, err := Parse("t", tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q) = %v, want %s", tc.src, err, tc.want)
+		}
+	}
+}
+
+// TestLexUnicode: identifiers are UTF-8 letters and digits; any other rune
+// and any invalid byte outside strings and comments is a positioned error.
+func TestLexUnicode(t *testing.T) {
+	prog := compile(t, `class Café { field naïve; }
+main { café = new Café(); café.naïve = null; π = café; n٣ = π; }`)
+	if prog.Classes["Café"] == nil {
+		t.Errorf("class Café not declared: %v", prog.Classes)
+	}
+	var names []string
+	for _, v := range prog.Main.Locals {
+		names = append(names, v.Name)
+	}
+	if got := strings.Join(names, " "); !strings.Contains(got, "café") || !strings.Contains(got, "π") || !strings.Contains(got, "n٣") {
+		t.Errorf("main locals = %s", got)
+	}
+	for _, tc := range []struct{ src, want string }{
+		{"main { x→y = null; }", "test.mini:1: unexpected character '→'"},
+		{"main {\n x = \xe9; }", "test.mini:2: invalid UTF-8 byte 0xe9"},
+		{"main { x\xe9 = null; }", "test.mini:1: invalid UTF-8 byte 0xe9"},
+	} {
+		_, err := Compile("test.mini", tc.src, ir.DefaultEntryConfig())
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Compile(%q) = %v, want %s", tc.src, err, tc.want)
+		}
+	}
+	// Strings and comments take any bytes.
+	compile(t, "main { x = \"\xe9→\xff\"; } // \xe9 → \xff\n/* \xc3 */")
 }
 
 func TestParseClassForms(t *testing.T) {
@@ -105,13 +168,15 @@ main {
   if (a == null && b > 0) { y = a; } else if (c) { y = x; } else { y = z; }
   while (i < 10) { w = new C(); }
   return r;
+  a[i / 2] = x;
+  if (n / 2) { y = a; }
 }
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stmts := f.Funcs[0].Body
-	if len(stmts) != 13 {
+	if len(stmts) != 15 {
 		t.Fatalf("got %d statements", len(stmts))
 	}
 	if _, ok := stmts[9].(*SyncStmt); !ok {
@@ -126,6 +191,12 @@ main {
 	}
 	if _, ok := stmts[12].(*ReturnStmt); !ok {
 		t.Errorf("stmt 12 = %T, want return", stmts[12])
+	}
+	if as, ok := stmts[13].(*AssignStmt); !ok || as.Lhs != (IndexRef{"a"}) {
+		t.Errorf("stmt 13 = %T, want an index store", stmts[13])
+	}
+	if _, ok := stmts[14].(*IfStmt); !ok {
+		t.Errorf("stmt 14 = %T, want if", stmts[14])
 	}
 }
 

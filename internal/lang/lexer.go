@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokKind int
@@ -20,8 +21,8 @@ const (
 	tEOF tokKind = iota
 	tIdent
 	tInt
-	tPunct   // one of ( ) { } [ ] ; , = .
-	tKeyword // class extends field static main func new sync if else while return null
+	tPunct   // one of ( ) { } [ ] ; , = . ! < > & | + - * % /
+	tKeyword // see keywordKind
 )
 
 type token struct {
@@ -30,92 +31,185 @@ type token struct {
 	line int
 }
 
-var keywords = map[string]bool{
-	"class": true, "extends": true, "field": true, "static": true,
-	"main": true, "func": true, "new": true, "sync": true,
-	"if": true, "else": true, "while": true, "return": true, "null": true,
-	"super": true, "volatile": true, "origin": true,
-	"select": true, "default": true,
+// Byte classes of the scanner. Bytes from 0x80 up start a UTF-8 sequence
+// and are decoded as runes; every other byte is classified by the table.
+const (
+	bOther   uint8 = iota // not allowed outside strings and comments
+	bSpace                // ' ' '\t' '\r'
+	bNewline              // '\n'
+	bIdent                // '_' '$' 'A'-'Z' 'a'-'z'
+	bDigit                // '0'-'9'
+	bPunct                // ( ) { } [ ] ; , = . ! < > & | + - * %
+	bSlash                // '/': a comment or punctuation
+	bQuote                // '"': a string literal
+	bUTF8                 // 0x80-0xff
+)
+
+var byteClass = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = bIdent, bIdent
+	}
+	t['_'], t['$'] = bIdent, bIdent
+	for c := '0'; c <= '9'; c++ {
+		t[c] = bDigit
+	}
+	// Comparison, logic and arithmetic characters only appear inside
+	// (ignored) conditions and indices; the parser skips them.
+	for _, c := range "(){}[];,=.!<>&|+-*%" {
+		t[c] = bPunct
+	}
+	t[' '], t['\t'], t['\r'], t['\n'] = bSpace, bSpace, bSpace, bNewline
+	t['/'], t['"'] = bSlash, bQuote
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = bUTF8
+	}
+	return t
+}()
+
+// keywordKind classifies an identifier-shaped word.
+func keywordKind(word string) tokKind {
+	switch word {
+	case "class", "extends", "field", "static", "main", "func", "new", "sync",
+		"if", "else", "while", "return", "null", "super", "volatile", "origin",
+		"select", "default":
+		return tKeyword
+	}
+	return tIdent
 }
 
-type lexer struct {
+// scanner produces tokens one at a time; the parser pulls the next one
+// when it consumes the current one. The first lexical error ends the
+// stream: scan records it in err and returns EOF from then on.
+type scanner struct {
 	src  string
 	file string
 	pos  int
 	line int
-	toks []token
+	err  error
 }
 
-// lex tokenizes src, reporting the first lexical error.
-func lex(file, src string) ([]token, error) {
-	l := &lexer{src: src, file: file, line: 1}
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch {
-		case c == '\n':
-			l.line++
-			l.pos++
-		case c == ' ' || c == '\t' || c == '\r':
-			l.pos++
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
+func (s *scanner) scan() token {
+	for s.err == nil && s.pos < len(s.src) {
+		c := s.src[s.pos]
+		switch byteClass[c] {
+		case bNewline:
+			s.line++
+			s.pos++
+		case bSpace:
+			s.pos++
+		case bIdent:
+			return s.word()
+		case bDigit:
+			start := s.pos
+			for s.pos < len(s.src) && byteClass[s.src[s.pos]] == bDigit {
+				s.pos++
 			}
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
-			l.pos += 2
-			for l.pos+1 < len(l.src) && !(l.src[l.pos] == '*' && l.src[l.pos+1] == '/') {
-				if l.src[l.pos] == '\n' {
-					l.line++
-				}
-				l.pos++
+			return token{tInt, s.src[start:s.pos], s.line}
+		case bPunct:
+			s.pos++
+			return token{tPunct, s.src[s.pos-1 : s.pos], s.line}
+		case bSlash:
+			if !s.comment() {
+				s.pos++
+				return token{tPunct, "/", s.line}
 			}
-			if l.pos+1 >= len(l.src) {
-				return nil, fmt.Errorf("%s:%d: unterminated block comment", l.file, l.line)
+		case bQuote:
+			if t, ok := s.str(); ok {
+				return t
 			}
-			l.pos += 2
-		case isIdentStart(rune(c)):
-			start := l.pos
-			for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-				l.pos++
+		case bUTF8:
+			r, size := utf8.DecodeRuneInString(s.src[s.pos:])
+			switch {
+			case r == utf8.RuneError && size == 1:
+				s.fail("invalid UTF-8 byte %#x", c)
+			case unicode.IsLetter(r):
+				return s.word()
+			default:
+				s.fail("unexpected character %q", r)
 			}
-			text := l.src[start:l.pos]
-			kind := tIdent
-			if keywords[text] {
-				kind = tKeyword
-			}
-			l.toks = append(l.toks, token{kind, text, l.line})
-		case c >= '0' && c <= '9':
-			start := l.pos
-			for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-				l.pos++
-			}
-			l.toks = append(l.toks, token{tInt, l.src[start:l.pos], l.line})
-		case strings.ContainsRune("(){}[];,=.!<>&|+-*%", rune(c)):
-			// Comparison/logic/arithmetic characters only appear inside
-			// (ignored) conditions and indices; the parser skips them.
-			l.toks = append(l.toks, token{tPunct, string(c), l.line})
-			l.pos++
-		case c == '"':
-			start := l.pos
-			l.pos++
-			for l.pos < len(l.src) && l.src[l.pos] != '"' {
-				if l.src[l.pos] == '\n' {
-					l.line++
-				}
-				l.pos++
-			}
-			if l.pos >= len(l.src) {
-				return nil, fmt.Errorf("%s:%d: unterminated string", l.file, l.line)
-			}
-			l.pos++
-			l.toks = append(l.toks, token{tInt, l.src[start:l.pos], l.line}) // strings act as opaque literals
 		default:
-			return nil, fmt.Errorf("%s:%d: unexpected character %q", l.file, l.line, c)
+			s.fail("unexpected character %q", rune(c))
 		}
 	}
-	l.toks = append(l.toks, token{tEOF, "", l.line})
-	return l.toks, nil
+	return token{tEOF, "", s.line}
 }
 
-func isIdentStart(c rune) bool { return c == '_' || c == '$' || unicode.IsLetter(c) }
-func isIdentPart(c rune) bool  { return isIdentStart(c) || unicode.IsDigit(c) }
+// drain scans the rest of the input and returns the first lexical error.
+func (s *scanner) drain() error {
+	for s.scan().kind != tEOF {
+	}
+	return s.err
+}
+
+func (s *scanner) fail(format string, args ...any) {
+	s.err = fmt.Errorf("%s:%d: %s", s.file, s.line, fmt.Sprintf(format, args...))
+}
+
+// word scans an identifier or keyword: '_', '$', letters and digits.
+func (s *scanner) word() token {
+	start := s.pos
+	for s.pos < len(s.src) {
+		c := s.src[s.pos]
+		if k := byteClass[c]; k == bIdent || k == bDigit {
+			s.pos++
+			continue
+		}
+		if c < utf8.RuneSelf {
+			break
+		}
+		r, size := utf8.DecodeRuneInString(s.src[s.pos:])
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			break
+		}
+		s.pos += size
+	}
+	w := s.src[start:s.pos]
+	return token{keywordKind(w), w, s.line}
+}
+
+// comment skips the comment that starts at the '/' under s.pos, and
+// reports false if that slash opens none.
+func (s *scanner) comment() bool {
+	if s.pos+1 >= len(s.src) {
+		return false
+	}
+	switch s.src[s.pos+1] {
+	case '/':
+		if n := strings.IndexByte(s.src[s.pos:], '\n'); n >= 0 {
+			s.pos += n
+		} else {
+			s.pos = len(s.src)
+		}
+		return true
+	case '*':
+		body := s.src[s.pos+2:]
+		n := strings.Index(body, "*/")
+		if n < 0 {
+			// Lines count up to the last byte, which could only have
+			// been the '*' of a terminator.
+			s.line += strings.Count(body[:max(len(body)-1, 0)], "\n")
+			s.fail("unterminated block comment")
+			return true
+		}
+		s.line += strings.Count(body[:n], "\n")
+		s.pos += 2 + n + 2
+		return true
+	}
+	return false
+}
+
+// str scans a string literal, an opaque literal like an integer. Its
+// token carries the line the literal ends on.
+func (s *scanner) str() (token, bool) {
+	start := s.pos
+	body := s.src[start+1:]
+	n := strings.IndexByte(body, '"')
+	if n < 0 {
+		s.line += strings.Count(body, "\n")
+		s.fail("unterminated string")
+		return token{}, false
+	}
+	s.line += strings.Count(body[:n], "\n")
+	s.pos = start + 1 + n + 1
+	return token{tInt, s.src[start:s.pos], s.line}, true
+}

@@ -54,12 +54,9 @@ func CompileFiles(files map[string]string, entries ir.EntryConfig) (*ir.Program,
 }
 
 type lowerer struct {
-	prog    *ir.Program
-	entries ir.EntryConfig
-	statics map[string]bool // "Class.field" -> static
-	freeFns map[string]*ir.Func
-	file    string
-	tmp     int // per-body temp counter (reset in lowerBody)
+	*Shell
+	file string
+	tmp  int // per-body temp counter (reset in lowerBody)
 }
 
 func (lw *lowerer) lowerBody(fn *ir.Func, fd *FuncDecl) error {
@@ -69,9 +66,14 @@ func (lw *lowerer) lowerBody(fn *ir.Func, fd *FuncDecl) error {
 	// whole program. Variable identity is per-function in the IR, so
 	// reusing $t1 across bodies never collides.
 	lw.tmp = 0
+	// The body grows in the shell's reusable buffer and keeps an exactly
+	// sized copy, which spares it append's doubling.
+	fn.Body = append(lw.body[:0], fn.Body...)
 	b := ir.NewB(fn)
 	b.At(ir.Pos{File: lw.file, Line: fd.Line})
-	return lw.stmts(b, fd.Body)
+	err := lw.stmts(b, fd.Body)
+	lw.body, fn.Body = fn.Body, append([]ir.Instr(nil), fn.Body...)
+	return err
 }
 
 func (lw *lowerer) stmts(b *ir.B, ss []Stmt) error {
@@ -340,6 +342,9 @@ func (lw *lowerer) isClass(name string) bool {
 }
 
 func (lw *lowerer) temp() string {
+	if lw.tmp == len(lw.temps) {
+		lw.temps = append(lw.temps, "$t"+strconv.Itoa(lw.tmp+1))
+	}
 	lw.tmp++
-	return fmt.Sprintf("$t%d", lw.tmp)
+	return lw.temps[lw.tmp-1]
 }

@@ -3,13 +3,25 @@ package lang
 import "fmt"
 
 // Parse parses minilang source into an AST. file is used for positions.
+// The first lexical error anywhere in src wins over a parse error.
 func Parse(file, src string) (*File, error) {
-	toks, err := lex(file, src)
+	p := &parser{file: file, sc: scanner{src: src, file: file, line: 1}}
+	p.tok = p.sc.scan()
+	f, err := p.parseFile()
 	if err != nil {
+		if lerr := p.sc.drain(); lerr != nil {
+			return nil, lerr
+		}
 		return nil, err
 	}
-	p := &parser{file: file, toks: toks}
-	f := &File{Name: file}
+	if p.sc.err != nil {
+		return nil, p.sc.err
+	}
+	return f, nil
+}
+
+func (p *parser) parseFile() (*File, error) {
+	f := &File{Name: p.file}
 	for !p.at(tEOF, "") {
 		switch {
 		case p.at(tKeyword, "class"):
@@ -40,20 +52,25 @@ func Parse(file, src string) (*File, error) {
 	return f, nil
 }
 
+// parser is an LL(1) recursive-descent parser: it looks only at the
+// current token and pulls the next one from the scanner as it consumes.
 type parser struct {
 	file string
-	toks []token
-	pos  int
+	sc   scanner
+	tok  token
+	// stmts stacks the statements of the blocks being parsed, innermost
+	// last; each block copies its own out at their exact number.
+	stmts []Stmt
 }
 
-func (p *parser) cur() token { return p.toks[p.pos] }
+func (p *parser) cur() token { return p.tok }
 
 // next consumes and returns the current token; it never advances past EOF,
 // so error paths that keep consuming stay in bounds.
 func (p *parser) next() token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.kind != tEOF {
-		p.pos++
+		p.tok = p.sc.scan()
 	}
 	return t
 }
@@ -197,14 +214,16 @@ func (p *parser) block() ([]Stmt, error) {
 	if _, err := p.expect(tPunct, "{"); err != nil {
 		return nil, err
 	}
-	var out []Stmt
+	mark := len(p.stmts)
 	for !p.accept(tPunct, "}") {
 		s, err := p.stmt()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, s)
+		p.stmts = append(p.stmts, s)
 	}
+	out := append([]Stmt(nil), p.stmts[mark:]...)
+	p.stmts = p.stmts[:mark]
 	return out, nil
 }
 

@@ -16,8 +16,13 @@ import (
 type Shell struct {
 	prog    *ir.Program
 	entries ir.EntryConfig
-	statics map[string]bool
 	freeFns map[string]*ir.Func
+
+	// Lowering scratch, reused from body to body: the instruction buffer
+	// a body grows in before it is copied out at its exact size, and the
+	// temp names ("$t1", "$t2", ...) every body numbers from one.
+	body  []ir.Instr
+	temps []string
 }
 
 // Declare runs the declaration pass over the parsed files: classes,
@@ -28,7 +33,6 @@ func Declare(asts []*File, entries ir.EntryConfig) (*Shell, error) {
 	sh := &Shell{
 		prog:    ir.NewProgram(),
 		entries: entries,
-		statics: map[string]bool{},
 		freeFns: map[string]*ir.Func{},
 	}
 	for _, f := range asts {
@@ -40,7 +44,6 @@ func Declare(asts []*File, entries ir.EntryConfig) (*Shell, error) {
 			for _, fd := range cd.Fields {
 				if fd.Static {
 					sig := cd.Name + "." + fd.Name
-					sh.statics[sig] = true
 					sh.prog.Statics = append(sh.prog.Statics, sig)
 					if fd.Volatile {
 						sh.prog.VolatileStatics[sig] = true
@@ -68,15 +71,23 @@ func Declare(asts []*File, entries ir.EntryConfig) (*Shell, error) {
 		}
 	}
 	// The Super chains must be acyclic: field/volatile lookups and method
-	// resolution walk them to nil.
+	// resolution walk them to nil. Each walk stamps the classes it visits:
+	// meeting its own stamp closes a cycle, and meeting an earlier walk's
+	// stamp joins a chain already known to reach nil.
+	stamp := make(map[*ir.Class]int, len(sh.prog.Classes))
+	walk := 0
 	for _, f := range asts {
 		for _, cd := range f.Classes {
-			seen := map[string]bool{}
-			for c := sh.prog.Class(cd.Name); c != nil; c = c.Super {
-				if seen[c.Name] {
+			walk++
+			for c := sh.prog.Classes[cd.Name]; c != nil; c = c.Super {
+				s := stamp[c]
+				if s == walk {
 					return nil, fmt.Errorf("%s:%d: inheritance cycle through class %s", f.Name, cd.Line, c.Name)
 				}
-				seen[c.Name] = true
+				if s != 0 {
+					break
+				}
+				stamp[c] = walk
 			}
 		}
 	}
@@ -118,7 +129,7 @@ func (sh *Shell) LowerMethod(file, class string, md *FuncDecl) error {
 	if c == nil || c.Methods[md.Name] == nil {
 		return fmt.Errorf("%s: method %s.%s not declared", file, class, md.Name)
 	}
-	lw := &lowerer{prog: sh.prog, entries: sh.entries, statics: sh.statics, freeFns: sh.freeFns, file: file}
+	lw := lowerer{Shell: sh, file: file}
 	return lw.lowerBody(c.Methods[md.Name], md)
 }
 
@@ -128,6 +139,6 @@ func (sh *Shell) LowerFunc(file string, fd *FuncDecl) error {
 	if fn == nil {
 		return fmt.Errorf("%s: function %s not declared", file, fd.Name)
 	}
-	lw := &lowerer{prog: sh.prog, entries: sh.entries, statics: sh.statics, freeFns: sh.freeFns, file: file}
+	lw := lowerer{Shell: sh, file: file}
 	return lw.lowerBody(fn, fd)
 }
