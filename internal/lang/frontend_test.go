@@ -117,68 +117,53 @@ func genLibrary(classes int) string {
 	return sb.String()
 }
 
-// frontendInputs are BenchmarkFrontend's inputs: the truth corpus, one
-// program at a time, and the generated 200-class library program.
-func frontendInputs(tb testing.TB) []struct {
+// frontendInput is one BenchmarkFrontend input: programs compiled one at
+// a time.
+type frontendInput struct {
 	name  string
 	progs []source
-} {
-	return []struct {
-		name  string
-		progs []source
-	}{
-		{"corpus", truthCorpus(tb)},
-		{"lib200", []source{{"lib200.mini", genLibrary(200)}}},
-	}
 }
 
 // BenchmarkFrontend measures source-to-AST (parse: lang.Parse) and
 // source-to-finalized-IR (compile: lang.CompileFiles, i.e. parse,
-// declare, lower and finalize) throughput. One iteration handles every
+// declare, lower and finalize) throughput on the truth corpus and the
+// generated 200-class library program. One iteration handles every
 // program of the input once; the MB/s column is over source bytes.
 func BenchmarkFrontend(b *testing.B) {
 	entries := ir.DefaultEntryConfig()
-	inputs := frontendInputs(b)
-	b.Run("parse", func(b *testing.B) {
+	inputs := []frontendInput{
+		{"corpus", truthCorpus(b)},
+		{"lib200", []source{{"lib200.mini", genLibrary(200)}}},
+	}
+	run := func(b *testing.B, compile bool) {
 		for _, in := range inputs {
+			var size int64
+			files := make([]map[string]string, len(in.progs))
+			for i, p := range in.progs {
+				size += int64(len(p.text))
+				files[i] = map[string]string{p.name: p.text}
+			}
 			b.Run(in.name, func(b *testing.B) {
-				var size int64
-				for _, p := range in.progs {
-					size += int64(len(p.text))
-				}
 				b.SetBytes(size)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					for _, p := range in.progs {
-						if _, err := lang.Parse(p.name, p.text); err != nil {
+					for j, p := range in.progs {
+						var err error
+						if compile {
+							_, err = lang.CompileFiles(files[j], entries)
+						} else {
+							_, err = lang.Parse(p.name, p.text)
+						}
+						if err != nil {
 							b.Fatal(err)
 						}
 					}
 				}
 			})
 		}
-	})
-	b.Run("compile", func(b *testing.B) {
-		for _, in := range inputs {
-			b.Run(in.name, func(b *testing.B) {
-				var size int64
-				files := make([]map[string]string, len(in.progs))
-				for i, p := range in.progs {
-					size += int64(len(p.text))
-					files[i] = map[string]string{p.name: p.text}
-				}
-				b.SetBytes(size)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					for _, f := range files {
-						if _, err := lang.CompileFiles(f, entries); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-		}
-	})
+	}
+	b.Run("parse", func(b *testing.B) { run(b, false) })
+	b.Run("compile", func(b *testing.B) { run(b, true) })
 }
 
 // irDigest hashes everything a frontend change could silently alter in a
