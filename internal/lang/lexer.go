@@ -114,9 +114,7 @@ func (s *scanner) scan() token {
 				return token{tPunct, "/", s.line}
 			}
 		case bQuote:
-			if t, ok := s.str(); ok {
-				return t
-			}
+			return s.str()
 		case bUTF8:
 			r, size := utf8.DecodeRuneInString(s.src[s.pos:])
 			switch {
@@ -185,8 +183,8 @@ func (s *scanner) comment() bool {
 		body := s.src[s.pos+2:]
 		n := strings.Index(body, "*/")
 		if n < 0 {
-			// Lines count up to the last byte, which could only have
-			// been the '*' of a terminator.
+			// The error names the last line a "*/" could start on, so a
+			// newline in the final byte does not count.
 			s.line += strings.Count(body[:max(len(body)-1, 0)], "\n")
 			s.fail("unterminated block comment")
 			return true
@@ -200,16 +198,16 @@ func (s *scanner) comment() bool {
 
 // str scans a string literal, an opaque literal like an integer. Its
 // token carries the line the literal ends on.
-func (s *scanner) str() (token, bool) {
+func (s *scanner) str() token {
 	start := s.pos
 	body := s.src[start+1:]
 	n := strings.IndexByte(body, '"')
 	if n < 0 {
 		s.line += strings.Count(body, "\n")
 		s.fail("unterminated string")
-		return token{}, false
+		return token{tEOF, "", s.line}
 	}
 	s.line += strings.Count(body[:n], "\n")
 	s.pos = start + 1 + n + 1
-	return token{tInt, s.src[start:s.pos], s.line}, true
+	return token{tInt, s.src[start:s.pos], s.line}
 }
