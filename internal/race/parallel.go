@@ -2,14 +2,12 @@ package race
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"o2/internal/obs"
 	"o2/internal/pta"
-	"o2/internal/ring"
 	"o2/internal/shb"
 )
 
@@ -59,18 +57,14 @@ func (b *pairBudget) isTripped() bool { return b.tripped.Load() }
 func (b *pairBudget) stopped() bool { return b.tripped.Load() || b.latch.Tripped() }
 
 // detectParallel shards the sorted candidate groups across workers.
-// Workers claim group indices from a shared atomic cursor, write each
-// result into its own slot and push the finished index onto a bounded
-// lock-free ring — the completion feed. The caller consumes the ring and
-// merges the contiguous done-prefix in sorted key order as results arrive,
-// so the deterministic merge streams alongside detection instead of
-// waiting behind a wg.Wait barrier, with no per-item allocation (a channel
-// feed would take a lock and may park a goroutine per send). Because
-// merging replays results in index order, the cross-group race dedup sees
+// Workers claim group indices from a shared atomic cursor and write each
+// result into its own slot. Once the pool drains, the caller merges the
+// slots in sorted key order, so the cross-group race dedup sees
 // candidates in exactly the sequential encounter order — the parallel
 // report is byte-identical to Workers == 1 whenever the budget does not
-// trip, and a consistent lower bound when it does (finished groups keep
-// all their races).
+// trip, and a consistent lower bound when it does: every claimed group
+// returned its partial result from checkGroup, and unclaimed groups hold
+// zero results, which merge as nothing.
 // It returns the summed busy time of all workers (0 when observability is
 // disabled), which Detect turns into the worker-utilization gauge: a
 // worker is busy from pool entry until it runs out of groups, so the
@@ -78,9 +72,6 @@ func (b *pairBudget) stopped() bool { return b.tripped.Load() || b.latch.Tripped
 func detectParallel(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp *grouped, bud *pairBudget, workers int, sp *obs.Span) int64 {
 	keys := grp.keys
 	results := make([]groupResult, len(keys))
-	// Capacity covers every group index, so Push below can never find the
-	// ring full: each index is pushed at most once.
-	feed := ring.New[int32](len(keys))
 	var next atomic.Int64
 	var busyNS atomic.Int64
 	var wg sync.WaitGroup
@@ -98,9 +89,9 @@ func detectParallel(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp
 				}()
 			}
 			// Per-worker racePair arena: checkGroup results hold views
-			// into it. Never reset — a published view may still be unread
-			// by the merger; later appends only write past every
-			// published view's capacity (see checkGroup).
+			// into it. Never reset — every view is read by the merge
+			// after the pool drains; later appends only write past every
+			// earlier view's capacity (see checkGroup).
 			var buf []racePair
 			// Per-worker origin tally, merged additively on exit so the
 			// attribution totals are worker-count independent.
@@ -115,48 +106,14 @@ func detectParallel(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp
 					return
 				}
 				results[i], buf = checkGroup(a, g, keys[i], grp.group(i), opt, bud, buf, tally)
-				feed.Push(int32(i))
 			}
 		}(w)
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-
-	// Streaming merge: pop completed indices, extend the merged prefix.
-	completed := make([]bool, len(keys))
-	seen := map[raceSig]bool{}
-	nextMerge := 0
-	drained := false
-	for nextMerge < len(keys) {
-		if i, ok := feed.Pop(); ok {
-			completed[i] = true
-			for nextMerge < len(keys) && completed[nextMerge] {
-				mergeGroup(rep, g, keys[nextMerge], &results[nextMerge], seen, opt.Attr, opt.Progress)
-				nextMerge++
-			}
-			continue
-		}
-		if drained {
-			// Workers exited early (budget trip or cancellation) without
-			// pushing their remaining claims: merge the rest in order —
-			// unchecked groups hold zero results, so this is exactly the
-			// sequential stop-at-trip semantics.
-			for ; nextMerge < len(keys); nextMerge++ {
-				mergeGroup(rep, g, keys[nextMerge], &results[nextMerge], seen, opt.Attr, opt.Progress)
-			}
-			break
-		}
-		select {
-		case <-done:
-			drained = true // one more drain pass, then finish
-		default:
-			runtime.Gosched()
-		}
-	}
-	// The merge can complete while the last workers are still between
-	// their final feed.Push and returning; wait for them so the deferred
-	// per-worker tally merges (and busy-time adds) are all visible before
-	// the caller reads Attr or the utilization gauge.
 	wg.Wait()
+
+	seen := map[raceSig]bool{}
+	for i, k := range keys {
+		mergeGroup(rep, g, k, &results[i], seen, opt.Attr, opt.Progress)
+	}
 	return busyNS.Load()
 }

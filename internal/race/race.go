@@ -66,10 +66,11 @@ type Options struct {
 	// as an uninstrumented build (see BenchmarkParallelDetectObs).
 	Obs *obs.Registry
 	// Progress, when set, receives live detection progress: the total
-	// candidate-pair estimate up front, then examined-pair and race
-	// counts flushed on the cancelStride tick (never per pair). Nil
-	// disables progress; like Obs, the disabled hot path is one branch
-	// per stride.
+	// candidate-pair estimate up front, then examined-pair counts flushed
+	// on the cancelStride tick (never per pair) and race counts as each
+	// group merges — with more than one worker, once the pool drains.
+	// Nil disables progress; like Obs, the disabled hot path is one
+	// branch per stride.
 	Progress *obs.Progress
 	// Attr, when set, receives per-origin pair/HB-query/race counts for
 	// the driver's Introspection section (see NewAttribution). Nil
@@ -356,9 +357,9 @@ type groupResult struct {
 // mergeGroup folds one group's result into the report, deduplicating
 // races by signature in encounter order and materializing a Race struct
 // only for the first pair of each signature. It runs single-threaded (the
-// sequential loop or the parallel streaming merger) in deterministic
-// group order, so the attribution and progress race counts it updates
-// are deterministic too.
+// sequential loop, or the parallel path once its pool drains) in
+// deterministic group order, so the attribution and progress race counts
+// it updates are deterministic too.
 func mergeGroup(rep *Report, g *shb.Graph, k osa.Key, gr *groupResult, seen map[raceSig]bool, attr *Attribution, prog *obs.Progress) {
 	rep.Representatives += gr.reps
 	rep.PairsChecked += gr.pairs

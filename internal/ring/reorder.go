@@ -1,3 +1,7 @@
+// Package ring holds the streaming corpus frontend's ordering primitive:
+// a bounded reorder window that fans work out to any number of workers
+// and hands results back in input order, with memory bounded by the
+// window rather than the input length.
 package ring
 
 import "context"
