@@ -282,28 +282,9 @@ func reportAnalyze(res *o2.Result, out analyzeOutput) int {
 		return exitOK
 	}
 	if out.asJSON {
-		type jsonAccess struct {
-			Op     string `json:"op"`
-			Pos    string `json:"pos"`
-			Fn     string `json:"fn"`
-			Origin string `json:"origin"`
-		}
-		type jsonRace struct {
-			Location string     `json:"location"`
-			A        jsonAccess `json:"a"`
-			B        jsonAccess `json:"b"`
-		}
-		out := make([]jsonRace, len(races))
-		for i, r := range races {
-			out[i] = jsonRace{
-				Location: r.Key.String(),
-				A:        jsonAccess{op(r.A.Write), r.A.Pos.String(), r.A.Fn, res.Analysis.Origins.Get(r.A.Origin).String()},
-				B:        jsonAccess{op(r.B.Write), r.B.Pos.String(), r.B.Fn, res.Analysis.Origins.Get(r.B.Origin).String()},
-			}
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := enc.Encode(res.RaceRecords()); err != nil {
 			return fail(exitInternal, err)
 		}
 	} else {

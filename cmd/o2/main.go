@@ -109,13 +109,6 @@ func fail(code int, err error) int {
 	return code
 }
 
-func op(write bool) string {
-	if write {
-		return "write"
-	}
-	return "read"
-}
-
 // readFiles loads the named sources into the map form every entry point
 // shares.
 func readFiles(names []string) (map[string]string, error) {

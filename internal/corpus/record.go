@@ -46,49 +46,21 @@ func ClassOf(err error, races int) string {
 	return ClassInternal
 }
 
-// Access is one side of a streamed race record.
-type Access struct {
-	Op     string `json:"op"`
-	Pos    string `json:"pos"`
-	Fn     string `json:"fn"`
-	Origin string `json:"origin"`
-}
-
-// RaceEntry is one reported race in a streamed record — the same
-// projection the batch scheduler serves, minus the witness (stream
-// consumers re-request witnesses per race via `o2 analyze -explain-json`
-// or the job API when they need derivations).
-type RaceEntry struct {
-	Location string `json:"location"`
-	A        Access `json:"a"`
-	B        Access `json:"b"`
-}
-
-// PhaseStats is the per-program RunStats summary every record carries:
-// phase wall times.
-type PhaseStats struct {
-	PTANS    int64 `json:"pta_ns"`
-	OSANS    int64 `json:"osa_ns"`
-	SHBNS    int64 `json:"shb_ns"`
-	DetectNS int64 `json:"detect_ns"`
-	TotalNS  int64 `json:"total_ns"`
-}
-
 // Record is one program's result in the streamed NDJSON output: exactly
 // one line per input program, emitted in input order. Schema-versioned;
 // see RecordSchema.
 type Record struct {
-	Schema    int           `json:"schema"`
-	Index     int           `json:"index"`
-	Program   string        `json:"program"`
-	ExitClass string        `json:"exit_class"`
-	RaceCount int           `json:"race_count"`
-	Races     []RaceEntry   `json:"races,omitempty"`
-	TimedOut  bool          `json:"timed_out,omitempty"` // pair budget tripped: races are a lower bound
-	Error     string        `json:"error,omitempty"`
-	WallNS    int64         `json:"wall_ns"`
-	Stats     *PhaseStats   `json:"stats,omitempty"`
-	RunStats  *obs.RunStats `json:"run_stats,omitempty"` // full observability report (opt-in)
+	Schema    int             `json:"schema"`
+	Index     int             `json:"index"`
+	Program   string          `json:"program"`
+	ExitClass string          `json:"exit_class"`
+	RaceCount int             `json:"race_count"`
+	Races     []o2.RaceRecord `json:"races,omitempty"`     // no witnesses: see `o2 analyze -explain-json`
+	TimedOut  bool            `json:"timed_out,omitempty"` // pair budget tripped: races are a lower bound
+	Error     string          `json:"error,omitempty"`
+	WallNS    int64           `json:"wall_ns"`
+	Stats     *o2.PhaseTimes  `json:"stats,omitempty"`
+	RunStats  *obs.RunStats   `json:"run_stats,omitempty"` // full observability report (opt-in)
 	// RequestID correlates server-streamed records with the originating
 	// HTTP request (honored or minted X-Request-ID); empty for local
 	// streams.
@@ -109,33 +81,13 @@ func NewRecord(cr o2.CorpusResult) *Record {
 		return rec
 	}
 	res := cr.Result
-	races := res.Races()
-	rec.RaceCount = len(races)
-	rec.ExitClass = ClassOf(nil, len(races))
+	rec.Races = res.RaceRecords()
+	rec.RaceCount = len(rec.Races)
+	rec.ExitClass = ClassOf(nil, rec.RaceCount)
 	rec.TimedOut = res.Report.TimedOut
-	rec.Stats = &PhaseStats{
-		PTANS:    int64(res.PTATime),
-		OSANS:    int64(res.OSATime),
-		SHBNS:    int64(res.SHBTime),
-		DetectNS: int64(res.DetectTime),
-		TotalNS:  int64(res.TotalTime()),
-	}
+	pt := res.PhaseTimes()
+	rec.Stats = &pt
 	rec.RunStats = res.RunStats
-	for i := range races {
-		r := &races[i]
-		mk := func(write bool, pos, fn string, origin string) Access {
-			op := "read"
-			if write {
-				op = "write"
-			}
-			return Access{Op: op, Pos: pos, Fn: fn, Origin: origin}
-		}
-		rec.Races = append(rec.Races, RaceEntry{
-			Location: r.Key.String(),
-			A:        mk(r.A.Write, r.A.Pos.String(), r.A.Fn, res.Analysis.Origins.Get(r.A.Origin).String()),
-			B:        mk(r.B.Write, r.B.Pos.String(), r.B.Fn, res.Analysis.Origins.Get(r.B.Origin).String()),
-		})
-	}
 	return rec
 }
 

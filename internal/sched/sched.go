@@ -157,69 +157,38 @@ func RequestIDFrom(ctx context.Context) string {
 	return id
 }
 
-// RaceAccess is one side of a reported race, rendered for transport.
-type RaceAccess struct {
-	Op     string `json:"op"`
-	Pos    string `json:"pos"`
-	Fn     string `json:"fn"`
-	Origin string `json:"origin"`
-}
-
 // RaceInfo is one reported race, rendered for transport, with the full
 // machine-readable witness (spawn chains, lockset derivation, HB-absence
 // evidence) so API clients can triage without re-running the analysis.
 type RaceInfo struct {
-	Location string        `json:"location"`
-	A        RaceAccess    `json:"a"`
-	B        RaceAccess    `json:"b"`
-	Witness  *race.Witness `json:"witness,omitempty"`
+	o2.RaceRecord
+	Witness *race.Witness `json:"witness,omitempty"`
 }
 
 // Summary is a job's result: the race report projected onto plain data
 // (the full o2.Result holds the whole points-to state and is not retained
 // by the scheduler), phase timings, and the observability report.
 type Summary struct {
-	Races    []RaceInfo    `json:"races"`
-	TimedOut bool          `json:"timed_out,omitempty"` // pair budget tripped: races are a lower bound
-	PTANS    int64         `json:"pta_ns"`
-	OSANS    int64         `json:"osa_ns"`
-	SHBNS    int64         `json:"shb_ns"`
-	DetectNS int64         `json:"detect_ns"`
-	TotalNS  int64         `json:"total_ns"`
-	Stats    *obs.RunStats `json:"stats,omitempty"`
+	Races    []RaceInfo `json:"races"`
+	TimedOut bool       `json:"timed_out,omitempty"` // pair budget tripped: races are a lower bound
+	o2.PhaseTimes
+	Stats *obs.RunStats `json:"stats,omitempty"`
 	// Cached reports that this summary was served from the result cache;
 	// the timings are those of the original (cold) run.
 	Cached bool `json:"cached,omitempty"`
 }
 
 func summarize(res *o2.Result) *Summary {
-	s := &Summary{
-		Races:    []RaceInfo{},
-		TimedOut: res.Report.TimedOut,
-		PTANS:    int64(res.PTATime),
-		OSANS:    int64(res.OSATime),
-		SHBNS:    int64(res.SHBTime),
-		DetectNS: int64(res.DetectTime),
-		TotalNS:  int64(res.TotalTime()),
-		Stats:    res.RunStats,
-	}
-	races := res.Races()
+	recs := res.RaceRecords()
 	witnesses := race.Witnesses(res.Analysis, res.Graph, res.Report)
-	for i := range races {
-		r := &races[i]
-		mk := func(write bool, pos, fn string, origin string) RaceAccess {
-			op := "read"
-			if write {
-				op = "write"
-			}
-			return RaceAccess{Op: op, Pos: pos, Fn: fn, Origin: origin}
-		}
-		s.Races = append(s.Races, RaceInfo{
-			Location: r.Key.String(),
-			A:        mk(r.A.Write, r.A.Pos.String(), r.A.Fn, res.Analysis.Origins.Get(r.A.Origin).String()),
-			B:        mk(r.B.Write, r.B.Pos.String(), r.B.Fn, res.Analysis.Origins.Get(r.B.Origin).String()),
-			Witness:  witnesses[i],
-		})
+	s := &Summary{
+		Races:      make([]RaceInfo, len(recs)),
+		TimedOut:   res.Report.TimedOut,
+		PhaseTimes: res.PhaseTimes(),
+		Stats:      res.RunStats,
+	}
+	for i, rec := range recs {
+		s.Races[i] = RaceInfo{RaceRecord: rec, Witness: witnesses[i]}
 	}
 	return s
 }

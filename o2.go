@@ -182,6 +182,63 @@ func (r *Result) TotalTime() time.Duration {
 	return r.PTATime + r.OSATime + r.SHBTime + r.DetectTime
 }
 
+// PhaseTimes is the transport form of a result's phase wall times, in
+// nanoseconds. The job summary and the streamed corpus record both carry
+// it.
+type PhaseTimes struct {
+	PTANS    int64 `json:"pta_ns"`
+	OSANS    int64 `json:"osa_ns"`
+	SHBNS    int64 `json:"shb_ns"`
+	DetectNS int64 `json:"detect_ns"`
+	TotalNS  int64 `json:"total_ns"`
+}
+
+// PhaseTimes returns the result's phase wall times for transport.
+func (r *Result) PhaseTimes() PhaseTimes {
+	return PhaseTimes{
+		PTANS:    int64(r.PTATime),
+		OSANS:    int64(r.OSATime),
+		SHBNS:    int64(r.SHBTime),
+		DetectNS: int64(r.DetectTime),
+		TotalNS:  int64(r.TotalTime()),
+	}
+}
+
+// RaceAccess is one side of a RaceRecord.
+type RaceAccess struct {
+	Op     string `json:"op"`
+	Pos    string `json:"pos"`
+	Fn     string `json:"fn"`
+	Origin string `json:"origin"`
+}
+
+// RaceRecord is one race projected onto plain data: the JSON shape shared
+// by `o2 analyze -json`, the job summary and the streamed corpus record.
+type RaceRecord struct {
+	Location string     `json:"location"`
+	A        RaceAccess `json:"a"`
+	B        RaceAccess `json:"b"`
+}
+
+// RaceRecords projects the detected races, in report order.
+func (r *Result) RaceRecords() []RaceRecord {
+	races := r.Races()
+	out := make([]RaceRecord, len(races))
+	for i := range races {
+		rc := &races[i]
+		out[i] = RaceRecord{Location: rc.Key.String(), A: r.raceAccess(rc.A), B: r.raceAccess(rc.B)}
+	}
+	return out
+}
+
+func (r *Result) raceAccess(a race.Access) RaceAccess {
+	op := "read"
+	if a.Write {
+		op = "write"
+	}
+	return RaceAccess{Op: op, Pos: a.Pos.String(), Fn: a.Fn, Origin: r.Analysis.Origins.Get(a.Origin).String()}
+}
+
 // normalize resolves the config's defaulting rules into an explicit,
 // ready-to-run form: unset entry points become the Table 1 defaults, a
 // zero-value Detector (ignoring Workers and Obs, which are orthogonal
