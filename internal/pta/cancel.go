@@ -2,16 +2,15 @@
 // build, race detect) all abort promptly when their context ends, but the
 // hot loops run millions of iterations and context.Context.Err() takes a
 // mutex on every call (~8ns, plus cache contention across detection
-// workers). A Latch converts the context's Done channel into one atomic
-// bool via a watcher goroutine; the hot loops poll the bool on a stride
-// (a relaxed atomic load, ~0.4ns, and a plain nil compare when the
-// context is not cancellable at all).
+// workers). A Latch converts the context's end into one atomic bool via
+// context.AfterFunc; the hot loops poll the bool on a stride (a relaxed
+// atomic load, ~0.4ns, and a plain nil compare when the context is not
+// cancellable at all).
 
 package pta
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 )
 
@@ -28,25 +27,17 @@ func (l *Latch) Trip() { l.flag.Store(true) }
 // Tripped reports whether the latch has been set. Nil-safe.
 func (l *Latch) Tripped() bool { return l != nil && l.flag.Load() }
 
-// WatchCancel bridges a context into a Latch: a watcher goroutine trips
-// the latch when the context ends. The returned stop function releases the
-// watcher and must be called (defer it) when the phase finishes; it is
-// idempotent. When the context can never be canceled (nil, Background,
-// TODO) both the latch and the watcher are elided — the nil latch's
+// WatchCancel bridges a context into a Latch: context.AfterFunc trips the
+// latch when the context ends, without a watcher goroutine. The returned
+// stop function deregisters the trip and must be called (defer it) when
+// the phase finishes; it is idempotent. When the context can never be
+// canceled (nil, Background, TODO) the latch is elided — the nil latch's
 // Tripped is a nil compare.
 func WatchCancel(ctx context.Context) (*Latch, func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return nil, func() {}
 	}
 	l := &Latch{}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			l.Trip()
-		case <-stop:
-		}
-	}()
-	var once sync.Once
-	return l, func() { once.Do(func() { close(stop) }) }
+	stop := context.AfterFunc(ctx, l.Trip)
+	return l, func() { stop() }
 }
