@@ -15,7 +15,6 @@ import (
 	"o2/internal/osa"
 	"o2/internal/pta"
 	"o2/internal/race"
-	"o2/internal/racerd"
 	"o2/internal/shb"
 	"o2/internal/workload"
 )
@@ -170,13 +169,6 @@ func RunPipelineProg(prog *ir.Program, pol pta.Policy, entries ir.EntryConfig, o
 		Total:    pr.Time + dr.OSATime + dr.SHBTime + dr.Time,
 		TimedOut: dr.TimedOut,
 	}
-}
-
-// RunRacerD runs the RacerD-style comparator on a preset.
-func RunRacerD(p workload.Preset) *racerd.Report {
-	entries := ir.DefaultEntryConfig()
-	prog := workload.Build(p, entries)
-	return racerd.Analyze(prog, entries)
 }
 
 // RunEscape runs the TLOA-style escape analysis (over 2-CFA, per §5.1.2)

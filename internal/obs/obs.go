@@ -176,15 +176,6 @@ func New() *Registry {
 	}
 }
 
-// Start returns the registry creation time (the zero time on nil) — the
-// origin of span start offsets in RunStats and trace exports.
-func (r *Registry) Start() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.start
-}
-
 // Enabled reports whether the registry collects anything.
 func (r *Registry) Enabled() bool { return r != nil }
 

@@ -121,10 +121,6 @@ type Request struct {
 	// Files maps filename to minilang source; all files compile into one
 	// program.
 	Files map[string]string
-	// Sources is the typed alternative to Files (the o2.Source form every
-	// frontend shares); when set and Files is nil, the sources become the
-	// program's files. Duplicate names are a parse error at submission.
-	Sources []o2.Source
 	// Config is the analysis configuration.
 	Config o2.Config
 	// Timeout overrides Options.DefaultTimeout for this job (0 = use the
@@ -407,16 +403,6 @@ func cacheKey(req Request) string {
 // cache hit completes the job immediately — without entering the queue —
 // in microseconds.
 func (s *Scheduler) Submit(req Request) (*Job, error) {
-	if len(req.Files) == 0 && len(req.Sources) > 0 {
-		files := make(map[string]string, len(req.Sources))
-		for _, src := range req.Sources {
-			if _, dup := files[src.Name]; dup {
-				return nil, fmt.Errorf("%w: duplicate source %q", ErrParse, src.Name)
-			}
-			files[src.Name] = string(src.Bytes)
-		}
-		req.Files = files
-	}
 	if len(req.Files) == 0 {
 		return nil, fmt.Errorf("%w: no files", ErrParse)
 	}

@@ -478,34 +478,28 @@ func TestSchedulerStress(t *testing.T) {
 	t.Logf("stress: %+v", st)
 }
 
+// TestSubmitSources: the files of a request compile into one program,
+// and its label defaults to the first file name in sorted order.
 func TestSubmitSources(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Shutdown(context.Background())
 
 	j, err := s.Submit(Request{
-		Sources: []o2.Source{{Name: "in.mini", Bytes: []byte(racySrc)}},
-		Config:  o2.DefaultConfig(),
+		Files: map[string]string{
+			"z.mini": strings.Replace(racySrc, "class S { field data; }", "", 1),
+			"a.mini": "class S { field data; }\n",
+		},
+		Config: o2.DefaultConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Label != "in.mini" {
-		t.Fatalf("label = %q, want the source name", j.Label)
+	if j.Label != "a.mini" {
+		t.Fatalf("label = %q, want the first file name", j.Label)
 	}
 	waitDone(t, j)
 	if j.State() != Done || len(j.Summary().Races) != 1 {
 		t.Fatalf("state=%s races=%d err=%v", j.State(), len(j.Summary().Races), j.Err())
-	}
-
-	_, err = s.Submit(Request{
-		Sources: []o2.Source{
-			{Name: "a.mini", Bytes: []byte(racySrc)},
-			{Name: "a.mini", Bytes: []byte(cleanSrc)},
-		},
-		Config: o2.DefaultConfig(),
-	})
-	if !errors.Is(err, ErrParse) {
-		t.Fatalf("duplicate source names: err = %v, want ErrParse", err)
 	}
 }
 

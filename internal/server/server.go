@@ -112,17 +112,12 @@ type Server struct {
 }
 
 // Option configures optional server behavior; see WithLogger and
-// WithRegistry.
+// WithPprof.
 type Option func(*Server)
 
 // WithLogger installs a structured access/error logger. Nil (the
 // default) disables request logging.
 func WithLogger(l *slog.Logger) Option { return func(s *Server) { s.log = l } }
-
-// WithRegistry shares an existing obs registry for the server's request
-// metrics instead of the private one New creates — useful when embedding
-// the handler into a process that already owns a registry.
-func WithRegistry(r *obs.Registry) Option { return func(s *Server) { s.reg = r } }
 
 // WithPprof mounts net/http/pprof's profile handlers under /debug/pprof/.
 // Off by default: profiles expose process internals, so the surface is
@@ -131,12 +126,9 @@ func WithPprof() Option { return func(s *Server) { s.pprof = true } }
 
 // New builds the handler over s.
 func New(s *sched.Scheduler, opts ...Option) *Server {
-	srv := &Server{sched: s, mux: http.NewServeMux(), start: time.Now()}
+	srv := &Server{sched: s, mux: http.NewServeMux(), reg: obs.New(), start: time.Now()}
 	for _, o := range opts {
 		o(srv)
-	}
-	if srv.reg == nil {
-		srv.reg = obs.New()
 	}
 	srv.reqSeconds = srv.reg.Histogram("server.request_seconds", obs.DefBuckets)
 	srv.reqTotal = srv.reg.Counter("server.requests")
