@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"o2/internal/ir"
+	"o2/internal/obs"
 	"o2/internal/osa"
 	"o2/internal/pta"
 	"o2/internal/race"
@@ -78,9 +79,44 @@ func sameReport(t *testing.T, label string, seq, par *race.Report) {
 	}
 }
 
+// detectObserved runs Detect with a fresh progress tracker and
+// attribution sink attached, and checks that the final progress snapshot
+// agrees with the report: every race counted once and, with no pair
+// budget, every candidate pair examined.
+func detectObserved(t *testing.T, label string, a *pta.Analysis, sh *osa.Result, g *shb.Graph, opts race.Options) (*race.Report, *race.Attribution) {
+	t.Helper()
+	opts.Progress = obs.NewProgress()
+	opts.Attr = race.NewAttribution(a.Origins.Len())
+	rep := race.Detect(a, sh, g, opts)
+	snap := opts.Progress.Snapshot()
+	if snap.Races != int64(len(rep.Races)) {
+		t.Errorf("%s: progress counts %d races, report has %d", label, snap.Races, len(rep.Races))
+	}
+	if snap.PairsDone != snap.PairsTotal {
+		t.Errorf("%s: progress examined %d of %d pairs", label, snap.PairsDone, snap.PairsTotal)
+	}
+	return rep, opts.Attr
+}
+
+// sameAttribution asserts that two runs credited every origin with the
+// same pair, HB-query and race counts.
+func sameAttribution(t *testing.T, label string, seq, par *race.Attribution) {
+	t.Helper()
+	if !reflect.DeepEqual(seq.Pairs, par.Pairs) {
+		t.Errorf("%s: attribution Pairs differ", label)
+	}
+	if !reflect.DeepEqual(seq.HBQueries, par.HBQueries) {
+		t.Errorf("%s: attribution HBQueries differ", label)
+	}
+	if !reflect.DeepEqual(seq.Races, par.Races) {
+		t.Errorf("%s: attribution Races differ", label)
+	}
+}
+
 // TestParallelDifferential asserts that the parallel detector produces a
 // report identical to the sequential one on every seeded workload program,
-// for every ablation option combination and several worker counts.
+// for every ablation option combination and several worker counts, and
+// that the live progress and per-origin attribution agree too.
 func TestParallelDifferential(t *testing.T) {
 	names := differentialPresets
 	if testing.Short() {
@@ -89,14 +125,16 @@ func TestParallelDifferential(t *testing.T) {
 	for _, name := range names {
 		a, sh, g := solvePreset(t, name)
 		for vname, opts := range ablationVariants {
+			label := name + "/" + vname
 			seqOpts := opts
 			seqOpts.Workers = 1
-			seq := race.Detect(a, sh, g, seqOpts)
+			seq, seqAttr := detectObserved(t, label+"/seq", a, sh, g, seqOpts)
 			for _, w := range []int{4, 8} {
 				parOpts := opts
 				parOpts.Workers = w
-				par := race.Detect(a, sh, g, parOpts)
-				sameReport(t, name+"/"+vname, seq, par)
+				par, parAttr := detectObserved(t, label, a, sh, g, parOpts)
+				sameReport(t, label, seq, par)
+				sameAttribution(t, label, seqAttr, parAttr)
 			}
 		}
 	}
