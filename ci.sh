@@ -9,6 +9,7 @@
 #   ./ci.sh bench-gate      run only the bench gate (emits BENCH_ci.json)
 #   ./ci.sh bench-variance  run only the timing-noise gate (emits VARIANCE_ci.json)
 #   ./ci.sh bench-frontend  run one pass of the frontend throughput benchmark
+#   ./ci.sh bench-detect    run one pass of the detection worker-pool benchmarks
 #   ./ci.sh cover           run only the coverage floors
 #   ./ci.sh race            run only the race-detector pass
 #   ./ci.sh smoke           run only the serve/batch end-to-end smoke
@@ -37,6 +38,15 @@ bench_variance() {
 # informational; nothing is gated on them.
 bench_frontend() {
 	go test -run '^$' -bench Frontend -benchtime 1x ./internal/lang/
+}
+
+# Detection worker pool: one pass of BenchmarkParallelDetect (the Linux
+# model at 1-8 workers), BenchmarkParallelDetectObs and
+# BenchmarkDetectAllocs at GOMAXPROCS 1 and 2, so the pool's benchmarks
+# keep building and running. The numbers are informational; nothing is
+# gated on them.
+bench_detect() {
+	go test -run '^$' -bench 'ParallelDetect|DetectAllocs' -benchtime 1x -cpu 1,2 .
 }
 
 # Precision gate over the ground-truth oracle corpus (internal/truth):
@@ -200,6 +210,10 @@ bench-frontend)
 	bench_frontend
 	exit 0
 	;;
+bench-detect)
+	bench_detect
+	exit 0
+	;;
 cover)
 	cover
 	exit 0
@@ -222,7 +236,7 @@ eval)
 	;;
 all) ;;
 *)
-	echo "usage: ./ci.sh [bench-gate|bench-variance|bench-frontend|cover|race|smoke|telemetry|eval]" >&2
+	echo "usage: ./ci.sh [bench-gate|bench-variance|bench-frontend|bench-detect|cover|race|smoke|telemetry|eval]" >&2
 	exit 2
 	;;
 esac
@@ -238,3 +252,4 @@ eval_gate
 bench_gate
 bench_variance
 bench_frontend
+bench_detect
