@@ -28,11 +28,10 @@ func (l *Latch) Trip() { l.flag.Store(true) }
 func (l *Latch) Tripped() bool { return l != nil && l.flag.Load() }
 
 // WatchCancel bridges a context into a Latch: context.AfterFunc trips the
-// latch when the context ends, without a watcher goroutine. The returned
-// stop function deregisters the trip and must be called (defer it) when
-// the phase finishes; it is idempotent. When the context can never be
-// canceled (nil, Background, TODO) the latch is elided — the nil latch's
-// Tripped is a nil compare.
+// latch when the context ends. The returned stop function deregisters the
+// trip and must be called (defer it) when the phase finishes; it is
+// idempotent. When the context can never be canceled (nil, Background,
+// TODO) the latch is elided — the nil latch's Tripped is a nil compare.
 func WatchCancel(ctx context.Context) (*Latch, func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return nil, func() {}
