@@ -111,10 +111,11 @@ type Config struct {
 	// (see internal/obs).
 	Obs *obs.Registry
 	// Progress, when set, receives live pipeline progress: phase
-	// transitions from the driver and examined-pair/race counts flushed
-	// from the detection hot loop on its cancel-poll stride. Readers call
-	// Progress.Snapshot concurrently (see internal/obs). Progress never
-	// alters results and, like Obs, is excluded from Fingerprint.
+	// transitions from the driver, examined-pair counts flushed from the
+	// detection hot loop on its cancel-poll stride, and race counts as
+	// detection merges each group (see race.Options.Progress). Readers
+	// call Progress.Snapshot concurrently (see internal/obs). Progress
+	// never alters results and, like Obs, is excluded from Fingerprint.
 	Progress *obs.Progress
 }
 
@@ -244,8 +245,8 @@ func (r *Result) raceAccess(a race.Access) RaceAccess {
 // zero-value Detector (ignoring Workers and Obs, which are orthogonal
 // knobs) is upgraded to the full O2 optimization set, and the top-level
 // Workers and Obs fields override their Detector counterparts. normalize
-// is idempotent; AnalyzeProgram used to inline this logic, which made the
-// upgrade rules untestable in isolation.
+// is idempotent, and normalize_test.go tests the upgrade rules in
+// isolation.
 func (c Config) normalize() Config {
 	if entriesUnset(c.Entries) {
 		c.Entries = ir.DefaultEntryConfig()
