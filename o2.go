@@ -245,8 +245,7 @@ func (r *Result) raceAccess(a race.Access) RaceAccess {
 // zero-value Detector (ignoring Workers and Obs, which are orthogonal
 // knobs) is upgraded to the full O2 optimization set, and the top-level
 // Workers and Obs fields override their Detector counterparts. normalize
-// is idempotent, and normalize_test.go tests the upgrade rules in
-// isolation.
+// is idempotent.
 func (c Config) normalize() Config {
 	if entriesUnset(c.Entries) {
 		c.Entries = ir.DefaultEntryConfig()
