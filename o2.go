@@ -111,7 +111,7 @@ type Config struct {
 	// (see internal/obs).
 	Obs *obs.Registry
 	// Progress, when set, receives live pipeline progress: phase
-	// transitions from the driver, examined-pair counts flushed from the
+	// transitions from Analyze, examined-pair counts flushed from the
 	// detection hot loop on its cancel-poll stride, and race counts as
 	// detection merges each group (see race.Options.Progress). Readers
 	// call Progress.Snapshot concurrently (see internal/obs). Progress
