@@ -3,6 +3,7 @@ package o2
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -163,5 +164,31 @@ func TestUncanceledRunUnaffected(t *testing.T) {
 	}
 	if len(res.Races()) != 1 {
 		t.Fatalf("want 1 race on Figure 2, got %d", len(res.Races()))
+	}
+}
+
+// TestClassify is the one outcome table: every way a run can end maps
+// onto the wire string all surfaces report.
+func TestClassify(t *testing.T) {
+	for _, tc := range []struct {
+		err   error
+		races int
+		want  Outcome
+	}{
+		{nil, 0, OutcomeOK},
+		{nil, 3, OutcomeRaces},
+		{ErrCompile, 0, OutcomeParse},
+		{fmt.Errorf("%w: boom", ErrCompile), 0, OutcomeParse},
+		{ErrBudget, 0, OutcomeBudget},
+		{fmt.Errorf("job: %w", ErrBudget), 2, OutcomeBudget},
+		{context.DeadlineExceeded, 0, OutcomeBudget},
+		{ErrCanceled, 0, OutcomeCanceled},
+		{context.Canceled, 0, OutcomeCanceled},
+		{errors.New("boom"), 0, OutcomeInternal},
+		{errors.New("disk on fire"), 1, OutcomeInternal},
+	} {
+		if got := Classify(tc.err, tc.races); got != tc.want {
+			t.Errorf("Classify(%v, %d) = %s, want %s", tc.err, tc.races, got, tc.want)
+		}
 	}
 }

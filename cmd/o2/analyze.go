@@ -115,7 +115,7 @@ func runAnalyze(args []string) int {
 		}
 		res, err = o2.Analyze(context.Background(), prog, cfg)
 		if err != nil {
-			return fail(exitCode(err), err)
+			return failAnalysis(err)
 		}
 		return reportAnalyze(res, analyzeOutput{
 			statsJSON: *statsJSON, traceOut: *traceOut, traceSpans: *traceSpans, reg: reg,
@@ -144,7 +144,7 @@ func runAnalyze(args []string) int {
 	}
 	res, err = o2.AnalyzeSources(context.Background(), srcs, cfg)
 	if err != nil {
-		return fail(exitCode(err), err)
+		return failAnalysis(err)
 	}
 
 	return reportAnalyze(res, analyzeOutput{

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -30,8 +29,7 @@ func runBatch(args []string) int {
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	ctxKind := fs.String("context", "origin", "context policy: origin, 0ctx, kcfa, kobj")
 	k := fs.Int("k", 1, "context depth")
-	jobs := fs.Int("jobs", 0, "concurrent analysis jobs (0 = GOMAXPROCS)")
-	window := fs.Int("window", 0, "reorder window in programs (0 = 2x jobs)")
+	jobs := fs.Int("jobs", 0, "concurrent analysis jobs (0 = GOMAXPROCS; capped at GOMAXPROCS)")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-program deadline (0 = none)")
 	stream := fs.Bool("stream", false, "emit one NDJSON record per program, in input order")
 	runStats := fs.Bool("run-stats", false, "with -stream: attach the full RunStats report to every record")
@@ -69,7 +67,6 @@ func runBatch(args []string) int {
 	ccfg := o2.CorpusConfig{
 		Config:         cfg,
 		Workers:        *jobs,
-		Window:         *window,
 		ProgramTimeout: *jobTimeout,
 		CollectStats:   *stream && *runStats,
 	}
@@ -80,13 +77,13 @@ func runBatch(args []string) int {
 	worst := exitOK
 	stats, err := o2.AnalyzeCorpus(context.Background(), it, ccfg, func(cr o2.CorpusResult) error {
 		class, err := emit(cr)
-		if code := classExit(class); code > worst {
+		if code := outcomeExit[class]; code > worst {
 			worst = code
 		}
 		return err
 	})
 	if err != nil {
-		return fail(exitCode(err), err)
+		return failAnalysis(err)
 	}
 	if stats.Programs == 0 {
 		return fail(exitUsage, fmt.Errorf("no %s programs found", corpus.Ext))
@@ -97,19 +94,15 @@ func runBatch(args []string) int {
 			float64(stats.Programs)/stats.Wall.Seconds())
 		return worst
 	}
-	workers := *jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	fmt.Printf("\n%d jobs in %s (%.1f jobs/s, workers=%d)\n",
 		stats.Programs, stats.Wall.Round(time.Millisecond),
-		float64(stats.Programs)/stats.Wall.Seconds(), workers)
+		float64(stats.Programs)/stats.Wall.Seconds(), stats.Workers)
 	return worst
 }
 
 // tableRow prints one program's table row, the header before the first
 // row, and returns the program's exit class.
-func tableRow(cr o2.CorpusResult) (string, error) {
+func tableRow(cr o2.CorpusResult) (o2.Outcome, error) {
 	if cr.Index == 0 {
 		fmt.Printf("%-40s %-9s %6s %12s %s\n", "PROGRAM", "STATE", "RACES", "WALL", "NOTE")
 	}
@@ -117,14 +110,14 @@ func tableRow(cr o2.CorpusResult) (string, error) {
 	if cr.Err == nil {
 		races = len(cr.Result.Races())
 	}
-	class := corpus.ClassOf(cr.Err, races)
+	class := o2.Classify(cr.Err, races)
 	state, note := "done", ""
 	switch class {
-	case corpus.ClassOK, corpus.ClassRaces:
-	case corpus.ClassCanceled:
-		state, note = "canceled", class+": "+firstLine(cr.Err.Error())
+	case o2.OutcomeOK, o2.OutcomeRaces:
+	case o2.OutcomeCanceled:
+		state, note = "canceled", string(class)+": "+firstLine(cr.Err.Error())
 	default:
-		state, note = "failed", class+": "+firstLine(cr.Err.Error())
+		state, note = "failed", string(class)+": "+firstLine(cr.Err.Error())
 	}
 	fmt.Printf("%-40s %-9s %6d %12s %s\n",
 		trunc(cr.Name, 40), state, races, cr.Wall.Round(time.Microsecond), note)
@@ -138,12 +131,12 @@ func tableRow(cr o2.CorpusResult) (string, error) {
 // the same single emit goroutine, so the NDJSON stream stays strictly
 // ordered; the interval throttles them to at most one per completed
 // program.
-func streamRecords(progressEvery time.Duration) func(o2.CorpusResult) (string, error) {
+func streamRecords(progressEvery time.Duration) func(o2.CorpusResult) (o2.Outcome, error) {
 	w := corpus.NewWriter(os.Stdout)
 	start := time.Now()
 	lastProg := start
 	done, racesSoFar := 0, int64(0)
-	return func(cr o2.CorpusResult) (string, error) {
+	return func(cr o2.CorpusResult) (o2.Outcome, error) {
 		rec := corpus.NewRecord(cr)
 		if err := w.Write(rec); err != nil {
 			return rec.ExitClass, err
@@ -164,24 +157,6 @@ func streamRecords(progressEvery time.Duration) func(o2.CorpusResult) (string, e
 			WallNS:     int64(time.Since(start)),
 		})
 	}
-}
-
-// classExit maps a program's exit class onto the exit code — the
-// per-program half of the partial-failure contract.
-func classExit(class string) int {
-	switch class {
-	case corpus.ClassOK:
-		return exitOK
-	case corpus.ClassRaces:
-		return exitRaces
-	case corpus.ClassParse:
-		return exitParse
-	case corpus.ClassBudget:
-		return exitBudget
-	case corpus.ClassCanceled:
-		return exitCanceled
-	}
-	return exitInternal
 }
 
 func trunc(s string, n int) string {

@@ -39,7 +39,7 @@ func runEval(args []string) int {
 	}
 	rep, err := truth.Evaluate()
 	if err != nil {
-		return fail(exitCode(err), err)
+		return failAnalysis(err)
 	}
 	if *jsonOut {
 		data, err := rep.MarshalIndent()
@@ -87,19 +87,19 @@ var metamorphicPresets = []string{"avrora", "zookeeper", "memcached"}
 func runMetamorphic() int {
 	corpus, err := truth.Corpus()
 	if err != nil {
-		return fail(exitCode(err), err)
+		return failAnalysis(err)
 	}
 	checks, bad := 0, 0
 	for i := range corpus {
 		p := &corpus[i]
 		base, err := p.ActualKeys()
 		if err != nil {
-			return fail(exitCode(err), err)
+			return failAnalysis(err)
 		}
 		for _, tr := range truth.Transforms() {
 			got, err := truth.TransformedKeys(p, tr)
 			if err != nil {
-				return fail(exitCode(err), err)
+				return failAnalysis(err)
 			}
 			checks++
 			if !report.SameKeys(base, got) {
@@ -118,12 +118,12 @@ func runMetamorphic() int {
 		trs := truth.IRTransforms()
 		base, err := truth.PresetKeys(preset, trs[0], cfg)
 		if err != nil {
-			return fail(exitCode(err), err)
+			return failAnalysis(err)
 		}
 		for _, tr := range trs[1:] {
 			got, err := truth.PresetKeys(preset, tr, cfg)
 			if err != nil {
-				return fail(exitCode(err), err)
+				return failAnalysis(err)
 			}
 			checks++
 			if !report.SameKeys(base, got) {

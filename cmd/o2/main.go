@@ -29,12 +29,10 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"os"
 
 	"o2"
-	"o2/internal/sched"
 )
 
 // Exit codes; see the package comment.
@@ -47,6 +45,18 @@ const (
 	exitCanceled = 5
 	exitInternal = 6
 )
+
+// outcomeExit is the one outcome→exit-code map: every analysis outcome
+// (o2.Classify, a job's error_kind, a record's exit_class) leaves the
+// process through it.
+var outcomeExit = map[o2.Outcome]int{
+	o2.OutcomeOK:       exitOK,
+	o2.OutcomeRaces:    exitRaces,
+	o2.OutcomeParse:    exitParse,
+	o2.OutcomeBudget:   exitBudget,
+	o2.OutcomeCanceled: exitCanceled,
+	o2.OutcomeInternal: exitInternal,
+}
 
 func main() { os.Exit(run(os.Args[1:])) }
 
@@ -72,42 +82,14 @@ func run(args []string) int {
 	return runAnalyze(args)
 }
 
-// exitCode classifies an analysis error into the process exit code.
-// Parse errors are not typed by the lang package, so compile-step
-// failures are classified at the call site via exitParseErr.
-func exitCode(err error) int {
-	switch {
-	case err == nil:
-		return exitOK
-	case errors.Is(err, sched.ErrParse), errors.Is(err, o2.ErrCompile):
-		return exitParse
-	case errors.Is(err, o2.ErrBudget):
-		return exitBudget
-	case errors.Is(err, o2.ErrCanceled):
-		return exitCanceled
-	}
-	return exitInternal
-}
-
-// kindExit maps a scheduler error kind onto the exit code.
-func kindExit(kind sched.ErrKind) int {
-	switch kind {
-	case sched.KindNone:
-		return exitOK
-	case sched.KindParse:
-		return exitParse
-	case sched.KindBudget:
-		return exitBudget
-	case sched.KindCanceled:
-		return exitCanceled
-	}
-	return exitInternal
-}
-
 func fail(code int, err error) int {
 	fmt.Fprintln(os.Stderr, "o2:", err)
 	return code
 }
+
+// failAnalysis reports a failed analysis and returns its outcome's exit
+// code.
+func failAnalysis(err error) int { return fail(outcomeExit[o2.Classify(err, 0)], err) }
 
 // readFiles loads the named sources into the map form every entry point
 // shares.

@@ -150,7 +150,7 @@ func runSubmit(args []string) int {
 		return fail(exitInternal, err)
 	}
 	if view.State != sched.Done {
-		return kindExit(view.ErrKind)
+		return outcomeExit[view.ErrKind]
 	}
 	if view.RaceCnt > 0 {
 		return exitRaces

@@ -2,13 +2,13 @@ package o2
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
 	"o2/internal/obs"
+	"o2/internal/pta"
 	"o2/internal/ring"
 )
 
@@ -19,15 +19,13 @@ type CorpusConfig struct {
 	// ignored; set CollectStats for per-program registries.
 	Config
 	// Workers is the number of parallel lex/parse/lower+analyze workers
-	// (0 = GOMAXPROCS). Each worker runs whole programs end to end;
-	// Config.Workers still controls the detection pool inside a program
-	// and defaults to 1 here so corpus-level parallelism does not
-	// oversubscribe.
+	// (0 = GOMAXPROCS; larger values are clamped to GOMAXPROCS). Each
+	// worker runs whole programs end to end; Config.Workers still
+	// controls the detection pool inside a program and defaults to 1 here
+	// so corpus-level parallelism does not oversubscribe. At most
+	// 2×Workers programs are admitted beyond the emitted prefix, so peak
+	// live memory is O(Workers), independent of corpus length.
 	Workers int
-	// Window bounds the reorder window: at most Window programs may be
-	// admitted beyond the emitted prefix (0 = 2×Workers). Peak live
-	// memory is O(Window), independent of corpus length.
-	Window int
 	// ProgramTimeout is the per-program deadline (0 = none). An exceeded
 	// deadline fails that program with ErrBudget and the stream continues
 	// — per-program isolation, like any other program failure.
@@ -38,11 +36,8 @@ type CorpusConfig struct {
 }
 
 func (c CorpusConfig) withDefaults() CorpusConfig {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Window <= 0 {
-		c.Window = 2 * c.Workers
+	if n := runtime.GOMAXPROCS(0); c.Workers <= 0 || c.Workers > n {
+		c.Workers = n
 	}
 	if c.Config.Workers == 0 {
 		c.Config.Workers = 1
@@ -73,6 +68,8 @@ type CorpusResult struct {
 type CorpusStats struct {
 	// Programs is the number of programs emitted (including failures).
 	Programs int `json:"programs"`
+	// Workers is the number of parallel pipelines that ran.
+	Workers int `json:"workers"`
 	// Failed counts programs that produced an error record.
 	Failed int `json:"failed"`
 	// Races is the total race count across successful programs.
@@ -93,9 +90,8 @@ type corpusTask struct {
 // program strictly in input order. It is the repository-scale frontend:
 // sources are pulled lazily from iter (never materializing the corpus),
 // fan out to workers, and funnel through a bounded reorder window of
-// CorpusConfig.Window programs — a slow program backpressures admission
-// instead of growing a buffer, so peak live heap is independent of corpus
-// length.
+// 2×Workers programs — a slow program backpressures admission instead of
+// growing a buffer, so peak live heap is independent of corpus length.
 //
 // Per-program failures (compile errors, per-program deadlines) are
 // isolated: the program's CorpusResult carries the error and the stream
@@ -110,7 +106,7 @@ func AnalyzeCorpus(ctx context.Context, iter SourceIter, cfg CorpusConfig, emit 
 	defer cancel()
 
 	start := time.Now()
-	ro := ring.NewReorder[CorpusResult](cfg.Window)
+	ro := ring.NewReorder[CorpusResult](2 * cfg.Workers)
 	tasks := make(chan corpusTask)
 
 	var wg sync.WaitGroup
@@ -150,7 +146,7 @@ func AnalyzeCorpus(ctx context.Context, iter SourceIter, cfg CorpusConfig, emit 
 			select {
 			case tasks <- corpusTask{idx, src, cell}:
 			case <-ctx.Done():
-				cell.Complete(CorpusResult{Index: idx, Name: src.Name, Err: ctxErr(ctx)})
+				cell.Complete(CorpusResult{Index: idx, Name: src.Name, Err: pta.CtxErr(ctx.Err())})
 				return
 			}
 		}
@@ -164,11 +160,14 @@ func AnalyzeCorpus(ctx context.Context, iter SourceIter, cfg CorpusConfig, emit 
 		case err := <-iterErr:
 			return err
 		default:
-			return ctxErr(ctx)
 		}
+		if err := ctx.Err(); err != nil {
+			return pta.CtxErr(err)
+		}
+		return nil
 	}
 
-	stats := &CorpusStats{}
+	stats := &CorpusStats{Workers: cfg.Workers}
 	for {
 		cr, ok, err := ro.Next(ctx)
 		if err != nil {
@@ -219,16 +218,4 @@ func (cfg CorpusConfig) analyzeOne(ctx context.Context, idx int, src Source) Cor
 		cr.Result = nil
 	}
 	return cr
-}
-
-// ctxErr maps a context's termination onto the pipeline's sentinel
-// errors, mirroring what Analyze returns for the same condition.
-func ctxErr(ctx context.Context) error {
-	switch {
-	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		return ErrBudget
-	case ctx.Err() != nil:
-		return ErrCanceled
-	}
-	return nil
 }

@@ -60,8 +60,8 @@ func (g *genIter) Next() (o2.Source, bool, error) {
 	return src, true, nil
 }
 
-func corpusCfg(workers, window int) o2.CorpusConfig {
-	return o2.CorpusConfig{Config: o2.DefaultConfig(), Workers: workers, Window: window}
+func corpusCfg(workers int) o2.CorpusConfig {
+	return o2.CorpusConfig{Config: o2.DefaultConfig(), Workers: workers}
 }
 
 // TestAnalyzeCorpusOrderedWithFailures drives a corpus with corrupt
@@ -74,7 +74,7 @@ func TestAnalyzeCorpusOrderedWithFailures(t *testing.T) {
 	it := &genIter{n: n, corrupt: corrupt}
 
 	var seen []o2.CorpusResult
-	stats, err := o2.AnalyzeCorpus(context.Background(), it, corpusCfg(4, 4), func(cr o2.CorpusResult) error {
+	stats, err := o2.AnalyzeCorpus(context.Background(), it, corpusCfg(4), func(cr o2.CorpusResult) error {
 		seen = append(seen, cr)
 		return nil
 	})
@@ -137,7 +137,7 @@ func TestAnalyzeCorpusMatchesSequential(t *testing.T) {
 		want[i] = report.Canonical(res.Report, res.Analysis.Origins)
 	}
 
-	ccfg := corpusCfg(4, 3)
+	ccfg := corpusCfg(4)
 	ccfg.Config = cfg
 	idx := 0
 	_, err = o2.AnalyzeCorpus(context.Background(), o2.SliceSources(srcs), ccfg, func(cr o2.CorpusResult) error {
@@ -188,7 +188,7 @@ func TestAnalyzeCorpusBoundedMemory(t *testing.T) {
 	sample() // baseline before the stream
 
 	emitted := 0
-	stats, err := o2.AnalyzeCorpus(context.Background(), &genIter{n: n}, corpusCfg(4, 4), func(cr o2.CorpusResult) error {
+	stats, err := o2.AnalyzeCorpus(context.Background(), &genIter{n: n}, corpusCfg(4), func(cr o2.CorpusResult) error {
 		if cr.Err != nil {
 			return cr.Err
 		}
@@ -211,12 +211,24 @@ func TestAnalyzeCorpusBoundedMemory(t *testing.T) {
 	}
 }
 
+// TestAnalyzeCorpusClampsWorkers: a worker count far beyond the host's
+// CPUs runs on GOMAXPROCS pipelines, whose reorder window it sizes.
+func TestAnalyzeCorpusClampsWorkers(t *testing.T) {
+	stats, err := o2.AnalyzeCorpus(context.Background(), &genIter{n: 3}, corpusCfg(1<<40), func(o2.CorpusResult) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := runtime.GOMAXPROCS(0); stats.Workers != want || stats.Programs != 3 {
+		t.Fatalf("workers=%d programs=%d, want %d/3", stats.Workers, stats.Programs, want)
+	}
+}
+
 // TestAnalyzeCorpusIterError: an iterator failure is a stream failure —
 // it aborts with the iterator's error, unlike a program failure.
 func TestAnalyzeCorpusIterError(t *testing.T) {
 	boom := errors.New("disk on fire")
 	it := &errAfterIter{n: 5, err: boom}
-	_, err := o2.AnalyzeCorpus(context.Background(), it, corpusCfg(2, 2), func(o2.CorpusResult) error { return nil })
+	_, err := o2.AnalyzeCorpus(context.Background(), it, corpusCfg(2), func(o2.CorpusResult) error { return nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the iterator's error", err)
 	}
@@ -240,7 +252,7 @@ func (g *errAfterIter) Next() (o2.Source, bool, error) {
 // and surfaces as the stream's error.
 func TestAnalyzeCorpusEmitError(t *testing.T) {
 	stop := errors.New("consumer full")
-	_, err := o2.AnalyzeCorpus(context.Background(), &genIter{n: 50}, corpusCfg(4, 4), func(cr o2.CorpusResult) error {
+	_, err := o2.AnalyzeCorpus(context.Background(), &genIter{n: 50}, corpusCfg(4), func(cr o2.CorpusResult) error {
 		if cr.Index == 3 {
 			return stop
 		}
@@ -255,7 +267,7 @@ func TestAnalyzeCorpusEmitError(t *testing.T) {
 // ErrCanceled, matching Analyze's contract.
 func TestAnalyzeCorpusCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := o2.AnalyzeCorpus(ctx, &genIter{n: 10_000}, corpusCfg(2, 2), func(cr o2.CorpusResult) error {
+	_, err := o2.AnalyzeCorpus(ctx, &genIter{n: 10_000}, corpusCfg(2), func(cr o2.CorpusResult) error {
 		if cr.Index == 2 {
 			cancel()
 		}
@@ -269,7 +281,7 @@ func TestAnalyzeCorpusCancel(t *testing.T) {
 // TestAnalyzeCorpusProgramTimeout: a per-program deadline fails that
 // program with ErrBudget and the stream keeps going.
 func TestAnalyzeCorpusProgramTimeout(t *testing.T) {
-	ccfg := corpusCfg(2, 2)
+	ccfg := corpusCfg(2)
 	ccfg.ProgramTimeout = time.Nanosecond
 	got := 0
 	stats, err := o2.AnalyzeCorpus(context.Background(), &genIter{n: 4}, ccfg, func(cr o2.CorpusResult) error {

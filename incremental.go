@@ -2,7 +2,6 @@ package o2
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -11,11 +10,6 @@ import (
 	"o2/internal/summary"
 	"o2/internal/unit"
 )
-
-// ErrCompile tags front-end failures (parse or lowering errors) on the
-// incremental entry points, so schedulers and CLIs can classify them as
-// input errors without string matching (errors.Is(err, o2.ErrCompile)).
-var ErrCompile = errors.New("compile error")
 
 // IncStats reports what the incremental front end did for one run. It
 // is attached to Result.Inc by AnalyzeIncremental; the same numbers are

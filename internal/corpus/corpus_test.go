@@ -3,7 +3,6 @@ package corpus
 import (
 	"archive/zip"
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -185,27 +184,6 @@ func TestChain(t *testing.T) {
 	}
 }
 
-func TestClassOf(t *testing.T) {
-	cases := []struct {
-		err   error
-		races int
-		want  string
-	}{
-		{nil, 0, ClassOK},
-		{nil, 3, ClassRaces},
-		{o2.ErrCompile, 0, ClassParse},
-		{o2.ErrBudget, 0, ClassBudget},
-		{o2.ErrCanceled, 0, ClassCanceled},
-		{context.Canceled, 0, ClassCanceled},
-		{errors.New("boom"), 0, ClassInternal},
-	}
-	for _, c := range cases {
-		if got := ClassOf(c.err, c.races); got != c.want {
-			t.Errorf("ClassOf(%v, %d) = %s, want %s", c.err, c.races, got, c.want)
-		}
-	}
-}
-
 func TestNewRecordProjection(t *testing.T) {
 	res, err := o2.AnalyzeSources(context.Background(),
 		[]o2.Source{{Name: "racy.mini", Bytes: []byte(racySrc)}}, o2.DefaultConfig())
@@ -216,7 +194,7 @@ func TestNewRecordProjection(t *testing.T) {
 	if rec.Schema != RecordSchema || rec.Index != 7 || rec.Program != "racy.mini" {
 		t.Fatalf("record envelope = %+v", rec)
 	}
-	if rec.ExitClass != ClassRaces || rec.RaceCount != 1 || len(rec.Races) != 1 {
+	if rec.ExitClass != o2.OutcomeRaces || rec.RaceCount != 1 || len(rec.Races) != 1 {
 		t.Fatalf("record races = %+v", rec)
 	}
 	r := rec.Races[0]
@@ -228,7 +206,7 @@ func TestNewRecordProjection(t *testing.T) {
 	}
 
 	erec := NewRecord(o2.CorpusResult{Index: 1, Name: "bad.mini", Err: o2.ErrCompile})
-	if erec.ExitClass != ClassParse || erec.Error == "" || erec.Stats != nil {
+	if erec.ExitClass != o2.OutcomeParse || erec.Error == "" || erec.Stats != nil {
 		t.Fatalf("error record = %+v", erec)
 	}
 }

@@ -1,9 +1,7 @@
 package corpus
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"io"
 
 	"o2"
@@ -17,35 +15,6 @@ import (
 // envelope around it.)
 const RecordSchema = 1
 
-// Exit classes of a streamed program, mirroring the CLI exit-code
-// contract (`o2 help`): the per-program analogue of the process exit
-// code, so a corpus consumer can fold records into the same 0–6 space.
-const (
-	ClassOK       = "ok"       // exit 0: analyzed, no races
-	ClassRaces    = "races"    // exit 1: analyzed, races found
-	ClassParse    = "parse"    // exit 3: compile error (isolated to this program)
-	ClassBudget   = "budget"   // exit 4: per-program budget or deadline
-	ClassCanceled = "canceled" // exit 5: canceled mid-analysis
-	ClassInternal = "internal" // exit 6: anything else
-)
-
-// ClassOf maps one program's outcome onto its exit class.
-func ClassOf(err error, races int) string {
-	switch {
-	case err == nil && races > 0:
-		return ClassRaces
-	case err == nil:
-		return ClassOK
-	case errors.Is(err, o2.ErrCompile):
-		return ClassParse
-	case errors.Is(err, o2.ErrBudget):
-		return ClassBudget
-	case errors.Is(err, o2.ErrCanceled), errors.Is(err, context.Canceled):
-		return ClassCanceled
-	}
-	return ClassInternal
-}
-
 // Record is one program's result in the streamed NDJSON output: exactly
 // one line per input program, emitted in input order. Schema-versioned;
 // see RecordSchema.
@@ -53,7 +22,7 @@ type Record struct {
 	Schema    int             `json:"schema"`
 	Index     int             `json:"index"`
 	Program   string          `json:"program"`
-	ExitClass string          `json:"exit_class"`
+	ExitClass o2.Outcome      `json:"exit_class"` // the per-program analogue of the CLI exit code
 	RaceCount int             `json:"race_count"`
 	Races     []o2.RaceRecord `json:"races,omitempty"`     // no witnesses: see `o2 analyze -explain-json`
 	TimedOut  bool            `json:"timed_out,omitempty"` // pair budget tripped: races are a lower bound
@@ -77,13 +46,13 @@ func NewRecord(cr o2.CorpusResult) *Record {
 	}
 	if cr.Err != nil {
 		rec.Error = cr.Err.Error()
-		rec.ExitClass = ClassOf(cr.Err, 0)
+		rec.ExitClass = o2.Classify(cr.Err, 0)
 		return rec
 	}
 	res := cr.Result
 	rec.Races = res.RaceRecords()
 	rec.RaceCount = len(rec.Races)
-	rec.ExitClass = ClassOf(nil, rec.RaceCount)
+	rec.ExitClass = o2.Classify(nil, rec.RaceCount)
 	rec.TimedOut = res.Report.TimedOut
 	pt := res.PhaseTimes()
 	rec.Stats = &pt

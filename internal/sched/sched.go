@@ -34,38 +34,9 @@ var (
 	ErrQueueFull = errors.New("sched: admission queue full")
 	// ErrShutdown is returned by Submit after Shutdown started.
 	ErrShutdown = errors.New("sched: scheduler is shut down")
-	// ErrParse wraps minilang compile errors so clients can branch on the
-	// failure class without string matching.
-	ErrParse = errors.New("sched: parse error")
 	// ErrUnknownJob is returned for job IDs the scheduler has never seen.
 	ErrUnknownJob = errors.New("sched: unknown job")
 )
-
-// ErrKind classifies a job failure for exit codes and HTTP responses.
-type ErrKind string
-
-const (
-	KindNone     ErrKind = ""         // no error
-	KindParse    ErrKind = "parse"    // minilang compile error
-	KindBudget   ErrKind = "budget"   // step/time budget or deadline exhausted
-	KindCanceled ErrKind = "canceled" // job canceled (explicitly or by shutdown)
-	KindInternal ErrKind = "internal" // anything else
-)
-
-// Classify maps an analysis error onto its ErrKind.
-func Classify(err error) ErrKind {
-	switch {
-	case err == nil:
-		return KindNone
-	case errors.Is(err, ErrParse), errors.Is(err, o2.ErrCompile):
-		return KindParse
-	case errors.Is(err, o2.ErrBudget):
-		return KindBudget
-	case errors.Is(err, o2.ErrCanceled), errors.Is(err, context.Canceled):
-		return KindCanceled
-	}
-	return KindInternal
-}
 
 // State is a job's lifecycle state.
 type State string
@@ -248,9 +219,6 @@ func (j *Job) Err() error {
 	return j.err
 }
 
-// ErrKind returns the classified failure kind.
-func (j *Job) ErrKind() ErrKind { return Classify(j.Err()) }
-
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
@@ -280,16 +248,16 @@ func (j *Job) finish(state State, sum *Summary, err error) {
 
 // View is a transportable snapshot of a job.
 type View struct {
-	ID        string   `json:"id"`
-	Label     string   `json:"label,omitempty"`
-	RequestID string   `json:"request_id,omitempty"`
-	State     State    `json:"state"`
-	Error     string   `json:"error,omitempty"`
-	ErrKind   ErrKind  `json:"error_kind,omitempty"`
-	WallNS    int64    `json:"wall_ns"`
-	Summary   *Summary `json:"summary,omitempty"`
-	RaceCnt   int      `json:"race_count"`
-	Finished  bool     `json:"finished"`
+	ID        string     `json:"id"`
+	Label     string     `json:"label,omitempty"`
+	RequestID string     `json:"request_id,omitempty"`
+	State     State      `json:"state"`
+	Error     string     `json:"error,omitempty"`
+	ErrKind   o2.Outcome `json:"error_kind,omitempty"`
+	WallNS    int64      `json:"wall_ns"`
+	Summary   *Summary   `json:"summary,omitempty"`
+	RaceCnt   int        `json:"race_count"`
+	Finished  bool       `json:"finished"`
 }
 
 // View snapshots the job for transport.
@@ -299,7 +267,7 @@ func (j *Job) View() View {
 	v := View{ID: j.ID, Label: j.Label, RequestID: j.RequestID, State: j.state, Summary: j.summary}
 	if j.err != nil {
 		v.Error = j.err.Error()
-		v.ErrKind = Classify(j.err)
+		v.ErrKind = o2.Classify(j.err, 0)
 	}
 	if j.summary != nil {
 		v.RaceCnt = len(j.summary.Races)
@@ -404,7 +372,7 @@ func cacheKey(req Request) string {
 // in microseconds.
 func (s *Scheduler) Submit(req Request) (*Job, error) {
 	if len(req.Files) == 0 {
-		return nil, fmt.Errorf("%w: no files", ErrParse)
+		return nil, fmt.Errorf("%w: no files", o2.ErrCompile)
 	}
 	if req.Label == "" {
 		names := make([]string, 0, len(req.Files))
@@ -701,13 +669,8 @@ func (s *Scheduler) runJob(j *Job, req Request) {
 	cfg.Progress = prog
 
 	res, err := o2.AnalyzeSources(ctx, sourcesOf(req.Files), cfg)
-	if errors.Is(err, o2.ErrCompile) {
-		// Keep the scheduler's own parse sentinel on the job so clients
-		// branching on ErrParse keep working.
-		err = fmt.Errorf("%w: %v", ErrParse, err)
-	}
-	switch Classify(err) {
-	case KindNone:
+	switch kind := o2.Classify(err, 0); kind {
+	case o2.OutcomeOK:
 		sum := summarize(res)
 		if s.cache != nil {
 			s.cache.put(key, sum)
@@ -715,14 +678,14 @@ func (s *Scheduler) runJob(j *Job, req Request) {
 		s.completed.Add(1)
 		j.finish(Done, sum, nil)
 		s.log("job done", j, "races", len(sum.Races), "wall", j.Wall())
-	case KindCanceled:
+	case o2.OutcomeCanceled:
 		s.canceled.Add(1)
 		j.finish(Canceled, nil, err)
 		s.log("job canceled", j, "wall", j.Wall())
 	default:
 		s.failed.Add(1)
 		j.finish(Failed, nil, err)
-		s.log("job failed", j, "kind", string(Classify(err)), "error", err, "wall", j.Wall())
+		s.log("job failed", j, "kind", string(kind), "error", err, "wall", j.Wall())
 	}
 }
 

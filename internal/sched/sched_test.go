@@ -116,8 +116,8 @@ func TestParseErrorClassified(t *testing.T) {
 	if j.State() != Failed {
 		t.Fatalf("state = %s", j.State())
 	}
-	if !errors.Is(j.Err(), ErrParse) || j.ErrKind() != KindParse {
-		t.Fatalf("want ErrParse/KindParse, got %v / %s", j.Err(), j.ErrKind())
+	if v := j.View(); !errors.Is(j.Err(), o2.ErrCompile) || v.ErrKind != o2.OutcomeParse {
+		t.Fatalf("want ErrCompile/parse, got %v / %s", j.Err(), v.ErrKind)
 	}
 }
 
@@ -296,8 +296,8 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatal("Cancel(queued) = false")
 	}
 	waitDone(t, queued)
-	if queued.State() != Canceled || queued.ErrKind() != KindCanceled {
-		t.Fatalf("state=%s kind=%s", queued.State(), queued.ErrKind())
+	if v := queued.View(); v.State != Canceled || v.ErrKind != o2.OutcomeCanceled {
+		t.Fatalf("state=%s kind=%s", v.State, v.ErrKind)
 	}
 	waitDone(t, blocker)
 	if blocker.State() != Done {
@@ -339,8 +339,8 @@ func TestJobTimeoutIsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	if j.State() != Failed || j.ErrKind() != KindBudget {
-		t.Fatalf("state=%s kind=%s err=%v", j.State(), j.ErrKind(), j.Err())
+	if v := j.View(); v.State != Failed || v.ErrKind != o2.OutcomeBudget {
+		t.Fatalf("state=%s kind=%s err=%s", v.State, v.ErrKind, v.Error)
 	}
 }
 
@@ -414,24 +414,6 @@ func TestWaitAndGet(t *testing.T) {
 	}
 	if _, err := s.Wait(context.Background(), "nope"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("Wait(unknown) = %v", err)
-	}
-}
-
-func TestClassify(t *testing.T) {
-	for _, tc := range []struct {
-		err  error
-		want ErrKind
-	}{
-		{nil, KindNone},
-		{fmt.Errorf("%w: boom", ErrParse), KindParse},
-		{o2.ErrBudget, KindBudget},
-		{o2.ErrCanceled, KindCanceled},
-		{context.Canceled, KindCanceled},
-		{errors.New("disk on fire"), KindInternal},
-	} {
-		if got := Classify(tc.err); got != tc.want {
-			t.Errorf("Classify(%v) = %s, want %s", tc.err, got, tc.want)
-		}
 	}
 }
 

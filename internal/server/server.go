@@ -92,8 +92,8 @@ func (cr ConfigRequest) toConfig() (o2.Config, error) {
 
 // errorBody is every non-2xx JSON response.
 type errorBody struct {
-	Error string        `json:"error"`
-	Kind  sched.ErrKind `json:"kind,omitempty"`
+	Error string     `json:"error"`
+	Kind  o2.Outcome `json:"kind,omitempty"`
 }
 
 // Server is the HTTP front end over a scheduler.
@@ -211,14 +211,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, kind sched.ErrKind, format string, args ...any) {
+func writeError(w http.ResponseWriter, code int, kind o2.Outcome, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...), Kind: kind})
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, sched.KindParse, "bad request body: %s", err)
+		writeError(w, http.StatusBadRequest, o2.OutcomeParse, "bad request body: %s", err)
 		return
 	}
 	files := req.Files
@@ -229,12 +229,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		files["input.mini"] = req.Source
 	}
 	if len(files) == 0 {
-		writeError(w, http.StatusBadRequest, sched.KindParse, "no source files in request")
+		writeError(w, http.StatusBadRequest, o2.OutcomeParse, "no source files in request")
 		return
 	}
 	cfg, err := req.Config.toConfig()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, sched.KindParse, "%s", err)
+		writeError(w, http.StatusBadRequest, o2.OutcomeParse, "%s", err)
 		return
 	}
 	job, err := s.sched.Submit(sched.Request{
@@ -253,17 +253,18 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, sched.ErrShutdown):
 		writeError(w, http.StatusServiceUnavailable, "", "server is shutting down")
 		return
-	case errors.Is(err, sched.ErrParse):
-		writeError(w, http.StatusBadRequest, sched.KindParse, "%s", err)
-		return
 	default:
-		writeError(w, http.StatusInternalServerError, sched.KindInternal, "%s", err)
+		kind, code := o2.Classify(err, 0), http.StatusInternalServerError
+		if kind == o2.OutcomeParse {
+			code = http.StatusBadRequest
+		}
+		writeError(w, code, kind, "%s", err)
 		return
 	}
 	if req.Wait {
 		if _, err := s.sched.Wait(r.Context(), job.ID); err != nil {
 			// Client went away; the job keeps running server-side.
-			writeError(w, http.StatusRequestTimeout, sched.KindCanceled, "wait interrupted: %s", err)
+			writeError(w, http.StatusRequestTimeout, o2.OutcomeCanceled, "wait interrupted: %s", err)
 			return
 		}
 		writeJSON(w, http.StatusOK, job.View())
@@ -282,8 +283,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // exit code). Configuration rides in query parameters, mirroring the
 // ConfigRequest fields: context, k, android, replicate_events, workers,
 // step_budget, time_budget_ms, max_shb_nodes — plus the pipeline shape:
-// jobs (parallel programs), window (reorder window), timeout_ms
-// (per-program deadline), run_stats=1 (attach RunStats per record).
+// jobs (parallel programs, at most GOMAXPROCS), timeout_ms (per-program
+// deadline), run_stats=1 (attach RunStats per record).
 //
 // The endpoint bypasses the job scheduler and its result cache: a
 // corpus run is a bulk scan, and letting it flood the job table or
@@ -303,13 +304,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg, err := cr.toConfig()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, sched.KindParse, "%s", err)
+		writeError(w, http.StatusBadRequest, o2.OutcomeParse, "%s", err)
 		return
 	}
 	ccfg := o2.CorpusConfig{
 		Config:         cfg,
 		Workers:        qInt(q.Get("jobs")),
-		Window:         qInt(q.Get("window")),
 		ProgramTimeout: time.Duration(qInt(q.Get("timeout_ms"))) * time.Millisecond,
 		CollectStats:   qBool(q.Get("run_stats")),
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"o2"
 	"o2/internal/sched"
 )
 
@@ -171,9 +172,12 @@ func TestBadRequests(t *testing.T) {
 		"no files":   {Wait: true},
 		"bad policy": {Source: racySrc, Config: ConfigRequest{Context: "psychic"}},
 	} {
-		resp, _ := postAnalyze(t, ts.URL, req)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %s, want 400", name, resp.Status)
+		resp, raw := postAnalyze(t, ts.URL, req)
+		var body struct {
+			Kind o2.Outcome `json:"kind"`
+		}
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &body) != nil || body.Kind != o2.OutcomeParse {
+			t.Errorf("%s: status %s, body %s; want 400 with kind parse", name, resp.Status, raw)
 		}
 	}
 
@@ -195,7 +199,7 @@ func TestBadRequests(t *testing.T) {
 	if err := json.Unmarshal(raw, &view); err != nil {
 		t.Fatal(err)
 	}
-	if view.State != sched.Failed || view.ErrKind != sched.KindParse {
+	if view.State != sched.Failed || view.ErrKind != o2.OutcomeParse {
 		t.Fatalf("state=%s kind=%s", view.State, view.ErrKind)
 	}
 }
@@ -554,7 +558,7 @@ func TestBatchStreaming(t *testing.T) {
 {"name":"broken.mini","source":"class { nope"}
 {"name":"clean.mini","source":` + string(mustJSON(t, cleanSrc)) + `}
 `
-	resp, err := http.Post(ts.URL+"/batch?jobs=2&window=2", "application/x-ndjson", strings.NewReader(manifest))
+	resp, err := http.Post(ts.URL+"/batch?jobs=2", "application/x-ndjson", strings.NewReader(manifest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,6 +618,47 @@ func TestBatchStreaming(t *testing.T) {
 	sum := recs[3]
 	if !sum.Summary || sum.Programs != 3 || sum.Failed != 1 {
 		t.Fatalf("summary = %+v", sum)
+	}
+}
+
+// TestBatchHugeJobs: a jobs value far beyond the host's CPUs runs on
+// GOMAXPROCS workers rather than sizing the reorder window by it, and
+// the same server then completes a second /batch.
+func TestBatchHugeJobs(t *testing.T) {
+	ts, _ := newTestServer(t, sched.Options{Workers: 1})
+	manifest := `{"name":"racy.mini","source":` + string(mustJSON(t, racySrc)) + "}\n"
+	for _, query := range []string{"?jobs=1099511627776", ""} {
+		resp, err := http.Post(ts.URL+"/batch"+query, "application/x-ndjson", strings.NewReader(manifest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status = %d", query, resp.StatusCode)
+		}
+		lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+		if len(lines) != 2 {
+			t.Fatalf("%q: got %d NDJSON lines, want record + summary:\n%s", query, len(lines), body)
+		}
+		var rec, sum struct {
+			ExitClass string `json:"exit_class"`
+			Summary   bool   `json:"summary"`
+			Programs  int    `json:"programs"`
+			Error     string `json:"error"`
+		}
+		if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(lines[1]), &sum); err != nil {
+			t.Fatal(err)
+		}
+		if rec.ExitClass != "races" || !sum.Summary || sum.Programs != 1 || sum.Error != "" {
+			t.Fatalf("%q: record %+v, summary %+v", query, rec, sum)
+		}
 	}
 }
 

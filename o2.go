@@ -20,6 +20,7 @@ package o2
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -34,15 +35,53 @@ import (
 	"o2/internal/shb"
 )
 
-// Sentinel errors of the analysis pipeline. ErrBudget is returned when a
-// step budget, the TimeBudget-derived deadline, or a caller-supplied
-// context deadline is exceeded (errors.Is against pta.ErrBudget holds).
-// ErrCanceled is returned when the caller's context is canceled
-// mid-analysis (errors.Is against context.Canceled holds).
+// Sentinel errors of the analysis pipeline. ErrCompile tags front-end
+// failures (parse or lowering errors, duplicate source names). ErrBudget
+// is returned when a step budget, the TimeBudget-derived deadline, or a
+// caller-supplied context deadline is exceeded (errors.Is against
+// pta.ErrBudget holds). ErrCanceled is returned when the caller's context
+// is canceled mid-analysis (errors.Is against context.Canceled holds).
+// Classify maps them onto an Outcome.
 var (
+	ErrCompile  = errors.New("compile error")
 	ErrBudget   = pta.ErrBudget
 	ErrCanceled = pta.ErrCanceled
 )
+
+// Outcome is how one analysis run ended. Its values are the strings
+// every surface reports: a job's error_kind, an HTTP error body's kind
+// and a streamed record's exit_class. The CLI maps each onto an exit
+// code.
+type Outcome string
+
+const (
+	OutcomeOK       Outcome = "ok"       // analyzed, no races
+	OutcomeRaces    Outcome = "races"    // analyzed, races found
+	OutcomeParse    Outcome = "parse"    // ErrCompile: the input does not compile
+	OutcomeBudget   Outcome = "budget"   // ErrBudget: step or time budget, or a deadline
+	OutcomeCanceled Outcome = "canceled" // ErrCanceled: canceled mid-analysis
+	OutcomeInternal Outcome = "internal" // anything else
+)
+
+// Classify maps one run's error and race count onto its Outcome; races
+// only matter when err is nil. Bare context errors classify the way
+// pta.CtxErr maps them: an expired deadline is a budget, a cancellation
+// is canceled.
+func Classify(err error, races int) Outcome {
+	switch {
+	case err == nil && races > 0:
+		return OutcomeRaces
+	case err == nil:
+		return OutcomeOK
+	case errors.Is(err, ErrCompile):
+		return OutcomeParse
+	case errors.Is(err, ErrBudget), errors.Is(err, context.DeadlineExceeded):
+		return OutcomeBudget
+	case errors.Is(err, context.Canceled): // ErrCanceled wraps it
+		return OutcomeCanceled
+	}
+	return OutcomeInternal
+}
 
 // Re-exported context policies for configuration convenience.
 var (
