@@ -34,9 +34,6 @@ var GatePresetNames = []string{"avrora", "zookeeper", "memcached"}
 type GateReport struct {
 	Schema  int          `json:"schema"`
 	Presets []GatePreset `json:"presets"`
-	// Batch is the report-only scheduler-throughput section (see
-	// BatchStats); it never participates in the golden comparison.
-	Batch *BatchStats `json:"batch,omitempty"`
 	// GoSync is the report-only channel-heavy workload section (see
 	// GoSyncGateStats). Timing-dependent, never golden-gated — but
 	// computing it hard-fails if a channel/WaitGroup-ordered handoff
@@ -173,11 +170,6 @@ func RunGate(o Opts) (*GateReport, error) {
 		}
 		rep.Presets = append(rep.Presets, gp)
 	}
-	batch, err := RunBatchGate(1)
-	if err != nil {
-		return nil, err
-	}
-	rep.Batch = batch
 	gsPreset, ok := workload.ByName("gosync")
 	if !ok {
 		return nil, fmt.Errorf("bench gate: unknown preset %q", "gosync")
@@ -194,7 +186,7 @@ func RunGate(o Opts) (*GateReport, error) {
 
 // Deterministic projects the report onto its gated fields: times are
 // stripped from every preset's stats (see obs.RunStats.Deterministic) and
-// the batch-throughput section is dropped entirely (all of it is timing).
+// the report-only gosync section is dropped.
 func (r *GateReport) Deterministic() *GateReport {
 	out := &GateReport{Schema: r.Schema}
 	for _, p := range r.Presets {
@@ -288,11 +280,6 @@ func Gate(w io.Writer, o Opts, goldenPath, statsPath string, update bool) error 
 			pairs = p.Stats.Counters["race.pairs_checked"]
 		}
 		fmt.Fprintf(w, "bench gate: %-12s races=%-3d pairs=%d\n", p.Name, p.Races, pairs)
-	}
-	if rep.Batch != nil {
-		fmt.Fprintf(w, "bench gate: batch %d jobs @ %.1f jobs/s (cache %d/%d, warm hit %s) [report-only]\n",
-			rep.Batch.Jobs, rep.Batch.JobsPerSec, rep.Batch.CacheHits,
-			rep.Batch.CacheHits+rep.Batch.CacheMisses, time.Duration(rep.Batch.WarmHitNS))
 	}
 	if rep.GoSync != nil {
 		fmt.Fprintf(w, "bench gate: gosync %-10s races=%-3d pairs=%d shb=%d nodes/%d edges wall=%v [report-only]\n",
