@@ -70,9 +70,10 @@ race() {
 
 # End-to-end smoke of the batch-analysis service: build the CLI, start
 # `o2 serve` on an ephemeral port, wait for /healthz via the pure-Go
-# `o2 submit` client (no curl dependency), submit a racy and a clean
-# program asserting exit codes 1 and 0 and JSON race output, then stop
-# the server with SIGTERM and require a clean graceful-drain exit.
+# `o2 submit` client (no curl dependency), submit a racy, a clean and a
+# malformed program asserting exit codes 1, 0 and 3 and their JSON
+# output, then stop the server with SIGTERM and require a clean
+# graceful-drain exit.
 smoke() {
 	dir=$(mktemp -d)
 	go build -o "$dir/o2" ./cmd/o2
@@ -90,6 +91,11 @@ smoke() {
 	"$dir/o2" submit -addr "@$dir/addr" testdata/smoke_clean.mini >"$dir/clean.json"
 	grep -q '"race_count": 0' "$dir/clean.json" || { echo "smoke: clean program reported races" >&2; exit 1; }
 
+	rc=0
+	"$dir/o2" submit -addr "@$dir/addr" testdata/smoke_bad.mini >"$dir/bad.json" || rc=$?
+	[ "$rc" -eq 3 ] || { echo "smoke: malformed exit=$rc, want 3" >&2; exit 1; }
+	grep -q '"error_kind": "parse"' "$dir/bad.json" || { echo "smoke: malformed program is not a parse error" >&2; cat "$dir/bad.json" >&2; exit 1; }
+
 	# The Prometheus exposition must be non-empty and reflect the traffic
 	# above (o2 submit -metrics fails on empty/TYPE-less output itself).
 	"$dir/o2" submit -addr "@$dir/addr" -metrics >"$dir/metrics.txt"
@@ -105,10 +111,11 @@ smoke() {
 	# class — and the worst-per-program exit code (1: races found).
 	(cd testdata && python3 -c "
 import zipfile
-z = zipfile.ZipFile('$dir/corpus.zip', 'w')
-z.write('smoke_clean.mini')
-z.write('smoke_racy.mini')
-z.close()
+for name, files in [('corpus', ['smoke_clean.mini', 'smoke_racy.mini']),
+                    ('bad', ['smoke_bad.mini', 'smoke_racy.mini'])]:
+    with zipfile.ZipFile('$dir/' + name + '.zip', 'w') as z:
+        for f in files:
+            z.write(f)
 ")
 	rc=0
 	"$dir/o2" batch -stream "$dir/corpus.zip" >"$dir/stream.ndjson" 2>"$dir/stream.log" || rc=$?
@@ -128,6 +135,14 @@ z.close()
 	rows=$(awk '$1 ~ /\.mini$/ { print $1 ":" $2 ":" $3 }' "$dir/table.txt" | tr '\n' ' ')
 	[ "$rows" = "smoke_clean.mini:done:0 smoke_racy.mini:done:1 " ] || { echo "smoke: batch table rows '$rows'" >&2; cat "$dir/table.txt" >&2; exit 1; }
 	grep -q '^2 jobs in ' "$dir/table.txt" || { echo "smoke: batch table has no totals line" >&2; cat "$dir/table.txt" >&2; exit 1; }
+
+	# A malformed program in the corpus: its record carries exit_class
+	# parse, the racy program is still analyzed, and the batch exits 3.
+	rc=0
+	"$dir/o2" batch -stream "$dir/bad.zip" >"$dir/bad.ndjson" 2>"$dir/bad.log" || rc=$?
+	[ "$rc" -eq 3 ] || { echo "smoke: batch -stream with a malformed program exit=$rc, want 3" >&2; exit 1; }
+	head -1 "$dir/bad.ndjson" | grep -q '"exit_class":"parse"' || { echo "smoke: malformed program's record should carry exit_class parse" >&2; cat "$dir/bad.ndjson" >&2; exit 1; }
+	tail -1 "$dir/bad.ndjson" | grep -q '"exit_class":"races"' || { echo "smoke: racy program after a malformed one should carry races" >&2; exit 1; }
 
 	trap - EXIT
 	rm -rf "$dir"
