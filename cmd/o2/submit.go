@@ -150,7 +150,10 @@ func runSubmit(args []string) int {
 		return fail(exitInternal, err)
 	}
 	if view.State != sched.Done {
-		return outcomeExit[view.ErrKind]
+		if code, ok := outcomeExit[view.ErrKind]; ok {
+			return code
+		}
+		return exitInternal // the server sent no kind we know
 	}
 	if view.RaceCnt > 0 {
 		return exitRaces

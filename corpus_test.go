@@ -212,7 +212,8 @@ func TestAnalyzeCorpusBoundedMemory(t *testing.T) {
 }
 
 // TestAnalyzeCorpusClampsWorkers: a worker count far beyond the host's
-// CPUs runs on GOMAXPROCS pipelines, whose reorder window it sizes.
+// CPUs runs GOMAXPROCS pipelines instead of sizing the reorder window by
+// the request, and the stats report the workers that ran.
 func TestAnalyzeCorpusClampsWorkers(t *testing.T) {
 	stats, err := o2.AnalyzeCorpus(context.Background(), &genIter{n: 3}, corpusCfg(1<<40), func(o2.CorpusResult) error { return nil })
 	if err != nil {
