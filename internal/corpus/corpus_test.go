@@ -3,6 +3,7 @@ package corpus
 import (
 	"archive/zip"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -181,6 +182,40 @@ func TestChain(t *testing.T) {
 	want := a + "," + b + "," + a
 	if strings.Join(got, ",") != want {
 		t.Fatalf("chain = %v, want %s", got, want)
+	}
+}
+
+// TestClassOf checks the exit class a record carries for each way one
+// program's run can end.
+func TestClassOf(t *testing.T) {
+	clean, err := o2.AnalyzeSources(context.Background(),
+		[]o2.Source{{Name: "clean.mini", Bytes: []byte("main { x = 1; }")}}, o2.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	racy, err := o2.AnalyzeSources(context.Background(),
+		[]o2.Source{{Name: "racy.mini", Bytes: []byte(racySrc)}}, o2.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		res  *o2.Result
+		err  error
+		want o2.Outcome
+	}{
+		{clean, nil, o2.OutcomeOK},
+		{racy, nil, o2.OutcomeRaces},
+		{nil, o2.ErrCompile, o2.OutcomeParse},
+		{nil, o2.ErrBudget, o2.OutcomeBudget},
+		{nil, o2.ErrCanceled, o2.OutcomeCanceled},
+		{nil, context.Canceled, o2.OutcomeCanceled},
+		{nil, errors.New("boom"), o2.OutcomeInternal},
+	}
+	for _, c := range cases {
+		rec := NewRecord(o2.CorpusResult{Name: "p.mini", Result: c.res, Err: c.err})
+		if rec.ExitClass != c.want {
+			t.Errorf("NewRecord(err=%v, races=%d).ExitClass = %s, want %s", c.err, rec.RaceCount, rec.ExitClass, c.want)
+		}
 	}
 }
 

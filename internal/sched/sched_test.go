@@ -417,6 +417,28 @@ func TestWaitAndGet(t *testing.T) {
 	}
 }
 
+// TestClassify checks the kind a finished job's view reports for each
+// way its run can end.
+func TestClassify(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want o2.Outcome
+	}{
+		{nil, ""},
+		{fmt.Errorf("%w: boom", o2.ErrCompile), o2.OutcomeParse},
+		{o2.ErrBudget, o2.OutcomeBudget},
+		{o2.ErrCanceled, o2.OutcomeCanceled},
+		{context.Canceled, o2.OutcomeCanceled},
+		{errors.New("disk on fire"), o2.OutcomeInternal},
+	} {
+		j := &Job{ID: "job-test", state: Running, created: time.Now(), done: make(chan struct{})}
+		j.finish(Failed, nil, tc.err)
+		if got := j.View().ErrKind; got != tc.want {
+			t.Errorf("View().ErrKind for %v = %q, want %q", tc.err, got, tc.want)
+		}
+	}
+}
+
 // TestSchedulerStress hammers a small scheduler from many goroutines with
 // a mix of cached, uncached, canceled and rejected submissions. Run under
 // -race in CI.
