@@ -10,6 +10,7 @@ package osa
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"o2/internal/ir"
@@ -17,7 +18,12 @@ import (
 	"o2/internal/pta"
 )
 
-// Key identifies an abstract memory location: either ⟨Obj⟩.Field
+// Loc is a memory location's identity: the PAG node the pointer analysis
+// interned for ⟨object, field⟩ or for a static field. OSA, the SHB graph
+// and detection key their per-location tables by it.
+type Loc = pta.NodeID
+
+// Key is the printable, sortable form of a location: either ⟨Obj⟩.Field
 // (Static == "") or a static field signature.
 type Key struct {
 	Obj    pta.ObjID
@@ -32,25 +38,48 @@ func (k Key) String() string {
 	return fmt.Sprintf("o%d.%s", k.Obj, k.Field)
 }
 
+// Less orders keys by object, then field, then static signature.
+func (k Key) Less(o Key) bool {
+	if k.Obj != o.Obj {
+		return k.Obj < o.Obj
+	}
+	if k.Field != o.Field {
+		return k.Field < o.Field
+	}
+	return k.Static < o.Static
+}
+
+// KeyOf returns the key of a location.
+func KeyOf(a *pta.Analysis, l Loc) Key {
+	obj, name := a.NodeField(l)
+	if obj == 0 {
+		return Key{Static: name}
+	}
+	return Key{Obj: obj, Field: name}
+}
+
+// LocOf returns the location of a key, or false when the analysis has no
+// node for it (see pta.Analysis.FieldNode).
+func LocOf(a *pta.Analysis, k Key) (Loc, bool) {
+	if k.Static != "" {
+		return a.StaticNode(k.Static)
+	}
+	return a.FieldNode(k.Obj, k.Field)
+}
+
 // Access records one access statement discovered during the traversal.
 type Access struct {
-	Key    Key
+	Loc    Loc
 	Origin pta.OriginID
 	Write  bool
 	Instr  ir.Instr
-	Fn     *ir.Func
 }
 
 // Result is the output of the analysis.
 type Result struct {
 	A *pta.Analysis
-	// Readers and Writers map each location to the set of origins reading
-	// or writing it (bitset over OriginID).
-	Readers map[Key]*pta.Bits
-	Writers map[Key]*pta.Bits
 	// Shared lists the origin-shared locations in deterministic order.
-	Shared    []Key
-	sharedSet map[Key]bool
+	Shared []Key
 	// Accesses are all recorded access statements (per contexted function
 	// per origin, deduplicated by memoization).
 	Accesses []Access
@@ -62,19 +91,45 @@ type Result struct {
 	SharedObjects int
 	// Visited counts visited ⟨function, context, origin⟩ triples.
 	Visited int
+
+	// locIdx maps each PAG node to 1 + its index in locs, or 0 when no
+	// access touched it.
+	locIdx []int32
+	// locs holds the accessed locations in first-seen order.
+	locs []location
+}
+
+// location is one accessed location's reader and writer origin sets
+// (bitsets over OriginID) and its sharing verdict.
+type location struct {
+	loc              Loc
+	readers, writers pta.Bits
+	shared           bool
+}
+
+// lookup returns the location's table entry, or nil when no access
+// touched it.
+func (r *Result) lookup(l Loc) *location {
+	if i := r.locIdx[l]; i > 0 {
+		return &r.locs[i-1]
+	}
+	return nil
 }
 
 // IsShared reports whether the location is origin-shared.
-func (r *Result) IsShared(k Key) bool { return r.sharedSet[k] }
+func (r *Result) IsShared(l Loc) bool {
+	li := r.lookup(l)
+	return li != nil && li.shared
+}
 
 // OriginsOf returns the sorted origins accessing the location.
 func (r *Result) OriginsOf(k Key) []pta.OriginID {
 	set := &pta.Bits{}
-	if b := r.Readers[k]; b != nil {
-		set.UnionWith(b)
-	}
-	if b := r.Writers[k]; b != nil {
-		set.UnionWith(b)
+	if l, ok := LocOf(r.A, k); ok {
+		if li := r.lookup(l); li != nil {
+			set.UnionWith(&li.readers)
+			set.UnionWith(&li.writers)
+		}
 	}
 	out := make([]pta.OriginID, 0, set.Len())
 	set.ForEach(func(o uint32) { out = append(out, pta.OriginID(o)) })
@@ -103,12 +158,7 @@ func AnalyzeWith(a *pta.Analysis, reg *obs.Registry) *Result {
 func AnalyzeCtx(ctx context.Context, a *pta.Analysis, reg *obs.Registry) (*Result, error) {
 	sp := reg.StartSpan("osa")
 	defer sp.End()
-	r := &Result{
-		A:         a,
-		Readers:   map[Key]*pta.Bits{},
-		Writers:   map[Key]*pta.Bits{},
-		sharedSet: map[Key]bool{},
-	}
+	r := &Result{A: a, locIdx: make([]int32, a.NumNodes())}
 	latch, stopWatch := pta.WatchCancel(ctx)
 	defer stopWatch()
 	v := &visitor{a: a, r: r, seen: map[visitKey]bool{}, ctx: ctx, latch: latch}
@@ -118,14 +168,7 @@ func AnalyzeCtx(ctx context.Context, a *pta.Analysis, reg *obs.Registry) (*Resul
 	}
 	r.finish()
 	if reg != nil {
-		locs := map[Key]bool{}
-		for k := range r.Readers {
-			locs[k] = true
-		}
-		for k := range r.Writers {
-			locs[k] = true
-		}
-		reg.SetGauge("osa.locations", int64(len(locs)))
+		reg.SetGauge("osa.locations", int64(len(r.locs)))
 		reg.SetGauge("osa.shared_locations", int64(len(r.Shared)))
 		reg.SetGauge("osa.shared_objects", int64(r.SharedObjects))
 		reg.SetGauge("osa.shared_accesses", int64(r.SharedAccesses))
@@ -172,9 +215,9 @@ func (v *visitor) visit(fn pta.FnCtxID, origin pta.OriginID) {
 		case *ir.StoreIndex:
 			v.access(fc, origin, in, in.Arr, ir.ArrayField, true)
 		case *ir.LoadStatic:
-			v.static(fc, origin, in, in.Class.Name+"."+in.Field, false)
+			v.static(origin, in, in.Class, in.Field, false)
 		case *ir.StoreStatic:
-			v.static(fc, origin, in, in.Class.Name+"."+in.Field, true)
+			v.static(origin, in, in.Class, in.Field, true)
 		case *ir.Call:
 			for _, e := range v.a.CG.EdgesAt(fn, idx) {
 				switch e.Kind {
@@ -197,85 +240,81 @@ func (v *visitor) visit(fn pta.FnCtxID, origin pta.OriginID) {
 	}
 }
 
+// access records an access through base on every object it may point
+// to. An object without a field node is skipped: only an analysis that
+// stopped early lacks one.
 func (v *visitor) access(fc pta.FnCtx, origin pta.OriginID, in ir.Instr, base *ir.Var, field string, write bool) {
 	pts := v.a.PointsTo(base, fc.Ctx)
 	pts.ForEach(func(o uint32) {
-		key := Key{Obj: pta.ObjID(o), Field: field}
-		v.record(key, origin, write, in, fc.Fn)
+		if l, ok := v.a.FieldNode(pta.ObjID(o), field); ok {
+			v.record(l, origin, write, in)
+		}
 	})
 }
 
-func (v *visitor) static(fc pta.FnCtx, origin pta.OriginID, in ir.Instr, sig string, write bool) {
-	v.record(Key{Static: sig}, origin, write, in, fc.Fn)
+func (v *visitor) static(origin pta.OriginID, in ir.Instr, c *ir.Class, field string, write bool) {
+	if l, ok := v.a.StaticNode(c.Name + "." + field); ok {
+		v.record(l, origin, write, in)
+	}
 }
 
-func (v *visitor) record(key Key, origin pta.OriginID, write bool, in ir.Instr, fn *ir.Func) {
-	m := v.r.Readers
-	if write {
-		m = v.r.Writers
+func (v *visitor) record(l Loc, origin pta.OriginID, write bool, in ir.Instr) {
+	r := v.r
+	i := r.locIdx[l]
+	if i == 0 {
+		r.locs = append(r.locs, location{loc: l})
+		i = int32(len(r.locs))
+		r.locIdx[l] = i
 	}
-	b := m[key]
-	if b == nil {
-		b = &pta.Bits{}
-		m[key] = b
+	if li := &r.locs[i-1]; write {
+		li.writers.Add(uint32(origin))
+	} else {
+		li.readers.Add(uint32(origin))
 	}
-	b.Add(uint32(origin))
-	v.r.Accesses = append(v.r.Accesses, Access{Key: key, Origin: origin, Write: write, Instr: in, Fn: fn})
+	// Past 256 elements append grows by about 1.25x per step, which over a
+	// run allocates several times the final array; double instead.
+	if n := len(r.Accesses); n == cap(r.Accesses) && n >= 256 {
+		r.Accesses = slices.Grow(r.Accesses, n)
+	}
+	r.Accesses = append(r.Accesses, Access{Loc: l, Origin: origin, Write: write, Instr: in})
 }
 
 func (r *Result) finish() {
-	keys := map[Key]bool{}
-	for k := range r.Readers {
-		keys[k] = true
-	}
-	for k := range r.Writers {
-		keys[k] = true
-	}
-	sharedObjs := map[pta.ObjID]bool{}
-	for k := range keys {
-		w := r.Writers[k]
-		if w == nil || w.IsEmpty() {
+	var all, sharedObjs pta.Bits
+	for i := range r.locs {
+		li := &r.locs[i]
+		if li.writers.IsEmpty() {
 			continue
 		}
-		all := &pta.Bits{}
-		if rd := r.Readers[k]; rd != nil {
-			all.UnionWith(rd)
-		}
-		all.UnionWith(w)
+		all.Clear()
+		all.UnionWith(&li.readers)
+		all.UnionWith(&li.writers)
 		shared := all.Len() >= 2
 		if !shared {
 			// A replicated origin has concurrent instances: a write from it
 			// is shared with its sibling instance.
-			w.ForEach(func(o uint32) {
+			li.writers.ForEach(func(o uint32) {
 				if r.A.Origins.Get(pta.OriginID(o)).Replicated {
 					shared = true
 				}
 			})
 		}
 		if shared {
-			r.sharedSet[k] = true
+			li.shared = true
+			k := KeyOf(r.A, li.loc)
 			r.Shared = append(r.Shared, k)
 			if k.Static == "" {
-				sharedObjs[k.Obj] = true
+				sharedObjs.Add(uint32(k.Obj))
 			}
 		}
 	}
-	sort.Slice(r.Shared, func(i, j int) bool {
-		a, b := r.Shared[i], r.Shared[j]
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		if a.Field != b.Field {
-			return a.Field < b.Field
-		}
-		return a.Static < b.Static
-	})
-	r.SharedObjects = len(sharedObjs)
+	sort.Slice(r.Shared, func(i, j int) bool { return r.Shared[i].Less(r.Shared[j]) })
+	r.SharedObjects = sharedObjs.Len()
 	// Count distinct access statements touching a shared location (one
 	// statement may be visited under several origins or contexts).
 	sharedInstrs := map[ir.Instr]bool{}
 	for _, acc := range r.Accesses {
-		if r.sharedSet[acc.Key] {
+		if r.IsShared(acc.Loc) {
 			sharedInstrs[acc.Instr] = true
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"o2/internal/lang"
 	"o2/internal/osa"
 	"o2/internal/pta"
+	"o2/internal/workload"
 )
 
 func analyze(t *testing.T, src string) (*pta.Analysis, *osa.Result) {
@@ -175,7 +176,7 @@ main {
 }
 
 func TestOriginsOfAndCounts(t *testing.T) {
-	_, r := analyze(t, `
+	a, r := analyze(t, `
 class S { field v; }
 class W {
   field s;
@@ -200,7 +201,7 @@ main {
 	if len(origins) != 2 {
 		t.Fatalf("v shared by %d origins, want 2", len(origins))
 	}
-	if !r.IsShared(key) {
+	if l, ok := osa.LocOf(a, key); !ok || !r.IsShared(l) {
 		t.Errorf("IsShared inconsistent with Shared list")
 	}
 	if r.SharedAccesses == 0 || r.SharedObjects == 0 || r.Visited == 0 {
@@ -237,5 +238,43 @@ main {
 	}
 	if !foundMainWrite {
 		t.Errorf("constructor write should be attributed to the main origin")
+	}
+}
+
+// A location's key and its PAG node name each other: on the bench gate's
+// presets every recorded location maps to its key and back, and every
+// shared key maps to a location IsShared confirms.
+func TestKeyLocRoundTrip(t *testing.T) {
+	entries := ir.DefaultEntryConfig()
+	for _, name := range []string{"avrora", "zookeeper", "memcached"} {
+		p, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("preset %s missing", name)
+		}
+		a := pta.New(workload.Build(p, entries), pta.Config{Policy: pta.Policy{Kind: pta.KOrigin, K: 1}, Entries: entries})
+		if err := a.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		r := osa.Analyze(a)
+		seen := map[osa.Loc]bool{}
+		for _, acc := range r.Accesses {
+			if seen[acc.Loc] {
+				continue
+			}
+			seen[acc.Loc] = true
+			k := osa.KeyOf(a, acc.Loc)
+			if l, ok := osa.LocOf(a, k); !ok || l != acc.Loc {
+				t.Errorf("%s: location %d has key %v, which maps to %d (found %v)", name, acc.Loc, k, l, ok)
+			}
+		}
+		if len(seen) == 0 || len(r.Shared) == 0 {
+			t.Fatalf("%s: %d locations, %d shared", name, len(seen), len(r.Shared))
+		}
+		for _, k := range r.Shared {
+			l, ok := osa.LocOf(a, k)
+			if !ok || osa.KeyOf(a, l) != k || !r.IsShared(l) {
+				t.Errorf("%s: shared key %v does not round-trip (location %d, found %v)", name, k, l, ok)
+			}
+		}
 	}
 }

@@ -82,7 +82,7 @@ func Analyze(a *pta.Analysis, sharing *osa.Result, g *shb.Graph) *Report {
 					}
 					ri.empty = false
 					ri.accesses++
-					if sharing.IsShared(n.Key) {
+					if sharing.IsShared(n.Loc) {
 						ri.shared = true
 					}
 				}

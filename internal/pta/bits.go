@@ -43,7 +43,8 @@ func (b *Bits) UnionWith(c *Bits) bool {
 	return changed
 }
 
-// DiffFrom sets b to c minus b's current contents... (unused placeholder removed)
+// Clear empties b, keeping its storage for reuse.
+func (b *Bits) Clear() { clear(b.w) }
 
 // Intersects reports whether b and c share an element.
 func (b *Bits) Intersects(c *Bits) bool {

@@ -92,6 +92,32 @@ func (a *Analysis) StaticPointsTo(sig string) *Bits {
 	return &emptyBits
 }
 
+// FieldNode returns the PAG node of ⟨obj⟩.field without creating one. A
+// solved analysis has a node for every field a load or store reaches; one
+// that stopped early (step budget, cancellation) may lack it.
+func (a *Analysis) FieldNode(obj ObjID, field string) (NodeID, bool) {
+	id, ok := a.heap.fldIdx[fieldKey{obj, field}]
+	return id, ok
+}
+
+// StaticNode returns the PAG node of static field sig ("Class.field")
+// without creating one; see FieldNode for when it is missing.
+func (a *Analysis) StaticNode(sig string) (NodeID, bool) {
+	id, ok := a.heap.statIdx[sig]
+	return id, ok
+}
+
+// NodeField is the reverse of FieldNode and StaticNode: the object and
+// field name of a field node, or object 0 and the signature of a static
+// node.
+func (a *Analysis) NodeField(id NodeID) (ObjID, string) {
+	n := &a.heap.nodes[id]
+	return n.obj, n.field
+}
+
+// NumNodes returns the number of PAG nodes; NodeIDs are below it.
+func (a *Analysis) NumNodes() int { return a.heap.NumNodes() }
+
 // Obj returns the descriptor of an abstract object.
 func (a *Analysis) Obj(id ObjID) *ObjInfo { return a.heap.obj(id) }
 

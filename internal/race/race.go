@@ -486,9 +486,8 @@ type acc struct {
 }
 
 // mergeKey identifies a lock-region representative within one candidate
-// group. Keying on the dense group index instead of the osa.Key keeps the
-// dedup in ONE flat map (no per-key sub-map allocation) and hashes an
-// integer instead of two strings.
+// group, by the group's dense index, so the dedup is one flat map over
+// integers.
 type mergeKey struct {
 	grp    int32
 	seg    shb.SegID
@@ -498,11 +497,9 @@ type mergeKey struct {
 }
 
 // grouped is the candidate groups in a flat arena: group i's accesses are
-// accs[off[i]:off[i+1]], node-ID ascending, with keys sorted by keyLess.
-// Compared to the previous map[osa.Key][]acc it is built with a constant
-// number of allocations (two maps, five slices) instead of one map entry
-// plus slice growth per location — collect dominated the detect phase's
-// allocation profile (~87% of allocs/op on the zookeeper preset).
+// accs[off[i]:off[i+1]], node-ID ascending, with keys sorted by Key.Less.
+// It is built with a constant number of allocations, not one per
+// location.
 type grouped struct {
 	keys []osa.Key
 	accs []acc
@@ -511,18 +508,27 @@ type grouped struct {
 
 func (gr *grouped) group(i int) []acc { return gr.accs[gr.off[i]:gr.off[i+1]:gr.off[i+1]] }
 
+// Per-location decisions of collect; a non-negative decision d means the
+// location is candidate group d-1.
+const (
+	locUndecided int32 = 0
+	locNotShared int32 = -1 // filtered by OSA
+	locVolatile  int32 = -2 // synchronization, not data
+)
+
 // collect groups SHB access nodes by location, applying the OSA filter and
 // lock-region merging. Volatile locations are synchronization, not data
 // (§4.3 extension: atomics), and are never candidates.
 //
-// Locations are interned into dense group indices in first-seen (node-ID)
-// order; a second pass scatters the surviving accesses into the flat
+// Each location's fate is decided once, at its first access node, into a
+// table indexed by location: filtered as not origin-shared, filtered as
+// volatile, or interned as a dense group index in first-seen (node-ID)
+// order. A second pass scatters the surviving accesses into the flat
 // arena in sorted-key group order, preserving node order within each
-// group — exactly the iteration order the previous map-of-slices
-// representation gave the detectors.
+// group.
 func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, rep *Report, bud *pairBudget) *grouped {
-	idx := map[osa.Key]int32{} // location → dense group index, first-seen order
-	var keys []osa.Key
+	fate := make([]int32, a.NumNodes())
+	var keys []osa.Key // dense group index → location key
 	type tmpAcc struct {
 		grp int32
 		a   acc
@@ -543,22 +549,31 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 		if n.Kind != shb.NRead && n.Kind != shb.NWrite {
 			continue
 		}
-		if opt.OSAFilter && !sharing.IsShared(n.Key) {
+		f := fate[n.Loc]
+		if f == locUndecided {
+			k := osa.KeyOf(a, n.Loc)
+			switch {
+			case opt.OSAFilter && !sharing.IsShared(n.Loc):
+				f = locNotShared
+			case isVolatile(a, k):
+				f = locVolatile
+			default:
+				keys = append(keys, k)
+				f = int32(len(keys))
+			}
+			fate[n.Loc] = f
+		}
+		switch f {
+		case locNotShared:
 			rep.FilteredOSA++
 			continue
-		}
-		if isVolatile(a, n.Key) {
+		case locVolatile:
 			rep.FilteredVolatile++
 			continue
 		}
 		rep.AccessNodes++
+		gi := f - 1
 		w := n.Kind == shb.NWrite
-		gi, ok := idx[n.Key]
-		if !ok {
-			gi = int32(len(keys))
-			idx[n.Key] = gi
-			keys = append(keys, n.Key)
-		}
 		if opt.RegionMerge && n.Region != 0 {
 			mk := mergeKey{gi, n.Seg, w, n.Locks, n.Region}
 			if merged[mk] {
@@ -579,7 +594,7 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(i, j int) bool { return keyLess(keys[order[i]], keys[order[j]]) })
+	sort.Slice(order, func(i, j int) bool { return keys[order[i]].Less(keys[order[j]]) })
 	out := &grouped{
 		keys: make([]osa.Key, len(keys)),
 		accs: make([]acc, len(tmp)),
@@ -684,16 +699,6 @@ func posLess(a, b ir.Pos) bool {
 		return a.File < b.File
 	}
 	return a.Line < b.Line
-}
-
-func keyLess(a, b osa.Key) bool {
-	if a.Obj != b.Obj {
-		return a.Obj < b.Obj
-	}
-	if a.Field != b.Field {
-		return a.Field < b.Field
-	}
-	return a.Static < b.Static
 }
 
 func raceLess(a, b *Race) bool {

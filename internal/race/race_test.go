@@ -1,6 +1,7 @@
 package race_test
 
 import (
+	"errors"
 	"testing"
 
 	"o2/internal/ir"
@@ -231,6 +232,24 @@ func TestPairBudgetStopsDetection(t *testing.T) {
 	}
 	if rep.PairsChecked > 100 {
 		t.Errorf("budget exceeded: %d pairs", rep.PairsChecked)
+	}
+}
+
+// An analysis stopped at its step budget may lack the PAG node of a
+// location its points-to sets reach. OSA, SHB and detection skip such an
+// access instead of panicking; the result is partial anyway.
+func TestStepBudgetPartialAnalysis(t *testing.T) {
+	entries := ir.DefaultEntryConfig()
+	p, _ := workload.ByName("zookeeper")
+	prog := workload.Build(p, entries)
+	for _, budget := range []int64{100, 1000, 5000} {
+		a := pta.New(prog, pta.Config{Policy: opa(), Entries: entries, StepBudget: budget})
+		if err := a.Solve(); !errors.Is(err, pta.ErrBudget) {
+			t.Fatalf("step budget %d: Solve = %v, want ErrBudget", budget, err)
+		}
+		sh := osa.Analyze(a)
+		g := shb.Build(a, shb.Config{})
+		race.Detect(a, sh, g, race.O2Options())
 	}
 }
 

@@ -17,6 +17,7 @@ package shb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -58,11 +59,19 @@ func (k NodeKind) String() string {
 type SegID int32
 
 // Node is one SHB node. Its ID is its index in Graph.Nodes; IDs within a
-// segment are strictly increasing in trace order.
+// segment are strictly increasing in trace order. Which of Loc and Obj a
+// node sets depends on its kind:
+//
+//   - NRead, NWrite: Loc, the accessed location;
+//   - NWait, NNotify, NChanSend, NChanRecv, NChanClose, NWgAdd, NWgDone,
+//     NWgWait: Obj, the condition, channel or WaitGroup object;
+//   - NLock, NUnlock, NEntry, NJoin: neither (an NLock node's Region is
+//     the region it opens).
 type Node struct {
 	Kind   NodeKind
 	Seg    SegID
-	Key    osa.Key // memory location for NRead/NWrite; lock object for NLock/NUnlock
+	Loc    osa.Loc
+	Obj    pta.ObjID
 	Locks  lockset.ID
 	Region int32 // innermost lock-region instance (0 = outside any region)
 	Instr  ir.Instr
@@ -220,9 +229,9 @@ func (g *Graph) connectCondVars() {
 	for id, n := range g.Nodes {
 		switch n.Kind {
 		case NWait:
-			waits[n.Key.Obj] = append(waits[n.Key.Obj], id)
+			waits[n.Obj] = append(waits[n.Obj], id)
 		case NNotify:
-			notifies[n.Key.Obj] = append(notifies[n.Key.Obj], id)
+			notifies[n.Obj] = append(notifies[n.Obj], id)
 		}
 	}
 	for obj, ns := range notifies {
@@ -262,11 +271,11 @@ func (g *Graph) connectChannels() {
 	for id, n := range g.Nodes {
 		switch n.Kind {
 		case NChanSend:
-			sends[n.Key.Obj] = append(sends[n.Key.Obj], id)
+			sends[n.Obj] = append(sends[n.Obj], id)
 		case NChanRecv:
-			recvs[n.Key.Obj] = append(recvs[n.Key.Obj], id)
+			recvs[n.Obj] = append(recvs[n.Obj], id)
 		case NChanClose:
-			closes[n.Key.Obj] = append(closes[n.Key.Obj], id)
+			closes[n.Obj] = append(closes[n.Obj], id)
 		}
 	}
 	for obj, ss := range sends {
@@ -305,9 +314,9 @@ func (g *Graph) connectWaitGroups() {
 	for id, n := range g.Nodes {
 		switch n.Kind {
 		case NWgDone:
-			dones[n.Key.Obj] = append(dones[n.Key.Obj], id)
+			dones[n.Obj] = append(dones[n.Obj], id)
 		case NWgWait:
-			waits[n.Key.Obj] = append(waits[n.Key.Obj], id)
+			waits[n.Obj] = append(waits[n.Obj], id)
 		}
 	}
 	for obj, ds := range dones {
@@ -511,12 +520,18 @@ func (b *builder) currentLockset() (lockset.ID, int32) {
 	return b.g.Locksets.Canon(objs), b.lockStack[len(b.lockStack)-1].region
 }
 
-func (b *builder) node(kind NodeKind, key osa.Key, in ir.Instr, fn *ir.Func) int {
-	ls, region := b.currentLockset()
+// node appends n to the current segment's trace, stamping its segment,
+// lockset and region, and returns its ID.
+func (b *builder) node(n Node) int {
+	n.Seg = b.cur.ID
+	n.Locks, n.Region = b.currentLockset()
 	id := len(b.g.Nodes)
-	b.g.Nodes = append(b.g.Nodes, Node{
-		Kind: kind, Seg: b.cur.ID, Key: key, Locks: ls, Region: region, Instr: in, Fn: fn,
-	})
+	// Past 256 elements append grows by about 1.25x per step, which over a
+	// build allocates several times the final arena; double instead.
+	if id == cap(b.g.Nodes) && id >= 256 {
+		b.g.Nodes = slices.Grow(b.g.Nodes, id)
+	}
+	b.g.Nodes = append(b.g.Nodes, n)
 	return id
 }
 
@@ -561,15 +576,15 @@ func (b *builder) walk(fn pta.FnCtxID) {
 		case *ir.StoreIndex:
 			b.accesses(NWrite, fc, in, in.Arr, ir.ArrayField)
 		case *ir.LoadStatic:
-			b.node(NRead, osa.Key{Static: in.Class.Name + "." + in.Field}, in, fc.Fn)
+			b.static(NRead, fc, in, in.Class, in.Field)
 		case *ir.StoreStatic:
-			b.node(NWrite, osa.Key{Static: in.Class.Name + "." + in.Field}, in, fc.Fn)
+			b.static(NWrite, fc, in, in.Class, in.Field)
 		case *ir.MonitorEnter:
 			objs := b.a.PointsTo(in.Obj, ctx).Slice()
 			// The lock node carries the region it opens (its lockset is
 			// still the set held *before* acquiring).
 			region := b.newRegion()
-			id := b.node(NLock, osa.Key{}, in, fc.Fn)
+			id := b.node(Node{Kind: NLock, Instr: in, Fn: fc.Fn})
 			b.g.Nodes[id].Region = region
 			b.lockStack = append(b.lockStack, lockFrame{objs: objs, region: region})
 			b.syncClock++
@@ -577,7 +592,7 @@ func (b *builder) walk(fn pta.FnCtxID) {
 			if n := len(b.lockStack); n > 0 {
 				b.lockStack = b.lockStack[:n-1]
 			}
-			b.node(NUnlock, osa.Key{}, in, fc.Fn)
+			b.node(Node{Kind: NUnlock, Instr: in, Fn: fc.Fn})
 			b.syncClock++
 		case *ir.ChanSend:
 			// Channel operations create inter-origin edges, so the sync
@@ -622,7 +637,7 @@ func (b *builder) walk(fn pta.FnCtxID) {
 					b.walk(e.Callee)
 				case pta.EdgeSpawn:
 					b.syncClock++
-					ent := b.node(NEntry, osa.Key{}, in.(ir.Instr), fc.Fn)
+					ent := b.node(Node{Kind: NEntry, Instr: in.(ir.Instr), Fn: fc.Fn})
 					child := b.segment(e.Callee, e.Origin)
 					// Target First may be unknown yet (-1); resolved when
 					// the child segment is built.
@@ -635,7 +650,7 @@ func (b *builder) walk(fn pta.FnCtxID) {
 					}
 				case pta.EdgeJoin:
 					b.syncClock++
-					jn := b.node(NJoin, osa.Key{}, in.(ir.Instr), fc.Fn)
+					jn := b.node(Node{Kind: NJoin, Instr: in.(ir.Instr), Fn: fc.Fn})
 					b.joins = append(b.joins, pendingJoin{e.Origin, jn})
 				}
 			}
@@ -648,7 +663,7 @@ func (b *builder) walk(fn pta.FnCtxID) {
 func (b *builder) condNode(kind NodeKind, fc pta.FnCtx, in *ir.Call) {
 	pts := b.a.PointsTo(in.Recv, fc.Ctx)
 	pts.ForEach(func(o uint32) {
-		b.node(kind, osa.Key{Obj: pta.ObjID(o), Field: "$monitor"}, in, fc.Fn)
+		b.node(Node{Kind: kind, Obj: pta.ObjID(o), Instr: in, Fn: fc.Fn})
 	})
 }
 
@@ -670,7 +685,7 @@ func wgKind(ent ir.EntryConfig, method string) (NodeKind, bool) {
 func (b *builder) wgNode(kind NodeKind, fc pta.FnCtx, in *ir.Call) {
 	pts := b.a.PointsTo(in.Recv, fc.Ctx)
 	pts.ForEach(func(o uint32) {
-		b.node(kind, osa.Key{Obj: pta.ObjID(o), Field: "$wg"}, in, fc.Fn)
+		b.node(Node{Kind: kind, Obj: pta.ObjID(o), Instr: in, Fn: fc.Fn})
 	})
 }
 
@@ -682,13 +697,26 @@ func (b *builder) chanNode(kind NodeKind, fc pta.FnCtx, in ir.Instr, ch *ir.Var)
 		if b.a.Obj(pta.ObjID(o)).Kind != pta.ObjChan {
 			return
 		}
-		b.node(kind, osa.Key{Obj: pta.ObjID(o), Field: "$chan"}, in, fc.Fn)
+		b.node(Node{Kind: kind, Obj: pta.ObjID(o), Instr: in, Fn: fc.Fn})
 	})
 }
 
+// accesses records an access node per object the base may point to. An
+// object without a field node is skipped: only an analysis that stopped
+// early lacks one.
 func (b *builder) accesses(kind NodeKind, fc pta.FnCtx, in ir.Instr, basev *ir.Var, field string) {
 	pts := b.a.PointsTo(basev, fc.Ctx)
 	pts.ForEach(func(o uint32) {
-		b.node(kind, osa.Key{Obj: pta.ObjID(o), Field: field}, in, fc.Fn)
+		if l, ok := b.a.FieldNode(pta.ObjID(o), field); ok {
+			b.node(Node{Kind: kind, Loc: l, Instr: in, Fn: fc.Fn})
+		}
 	})
+}
+
+// static records an access node on a static field, skipped like a field
+// access when the field has no node.
+func (b *builder) static(kind NodeKind, fc pta.FnCtx, in ir.Instr, c *ir.Class, field string) {
+	if l, ok := b.a.StaticNode(c.Name + "." + field); ok {
+		b.node(Node{Kind: kind, Loc: l, Instr: in, Fn: fc.Fn})
+	}
 }

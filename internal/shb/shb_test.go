@@ -3,6 +3,7 @@ package shb_test
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"o2/internal/ir"
 	"o2/internal/lang"
@@ -10,6 +11,9 @@ import (
 	"o2/internal/pta"
 	"o2/internal/shb"
 )
+
+// field names the field an access node touches.
+func field(a *pta.Analysis, n shb.Node) string { return osa.KeyOf(a, n.Loc).Field }
 
 func build(t *testing.T, src string, cfg shb.Config) (*pta.Analysis, *shb.Graph) {
 	t.Helper()
@@ -91,10 +95,10 @@ func TestSpawnAndJoinEdges(t *testing.T) {
 // the worker's (through start); the worker's precedes main's last (through
 // join).
 func TestHappensBeforeThroughSpawnAndJoin(t *testing.T) {
-	_, g := build(t, spawnJoin, shb.Config{})
+	a, g := build(t, spawnJoin, shb.Config{})
 	var preWrite, workWrite, postWrite int = -1, -1, -1
 	for id, n := range g.Nodes {
-		if n.Kind != shb.NWrite || n.Key.Field != "v" {
+		if n.Kind != shb.NWrite || field(a, n) != "v" {
 			continue
 		}
 		switch {
@@ -124,7 +128,7 @@ func TestHappensBeforeThroughSpawnAndJoin(t *testing.T) {
 }
 
 func TestNoHBBetweenSiblingThreads(t *testing.T) {
-	_, g := build(t, `
+	a, g := build(t, `
 class S { field v; }
 class W {
   field s;
@@ -141,7 +145,7 @@ main {
 `, shb.Config{})
 	var writes []int
 	for id, n := range g.Nodes {
-		if n.Kind == shb.NWrite && n.Key.Field == "v" && g.Origin(id) != pta.MainOrigin {
+		if n.Kind == shb.NWrite && field(a, n) == "v" && g.Origin(id) != pta.MainOrigin {
 			writes = append(writes, id)
 		}
 	}
@@ -209,7 +213,7 @@ main {
 }
 
 func TestNestedLocks(t *testing.T) {
-	_, g := build(t, `
+	a, g := build(t, `
 class S { field v; }
 main {
   s = new S();
@@ -223,7 +227,7 @@ main {
 }
 `, shb.Config{})
 	for _, n := range g.Nodes {
-		if n.Kind == shb.NWrite && n.Key.Field == "v" {
+		if n.Kind == shb.NWrite && field(a, n) == "v" {
 			if len(g.Locksets.Set(n.Locks)) != 2 {
 				t.Errorf("nested sync should hold both locks: %v", g.Locksets.Set(n.Locks))
 			}
@@ -246,20 +250,20 @@ main {
   h.onReceive(ev);
 }
 `
-	_, plain := build(t, src, shb.Config{})
-	_, android := build(t, src, shb.Config{AndroidEvents: true})
-	handlerLocked := func(g *shb.Graph) bool {
+	pa, plain := build(t, src, shb.Config{})
+	aa, android := build(t, src, shb.Config{AndroidEvents: true})
+	handlerLocked := func(a *pta.Analysis, g *shb.Graph) bool {
 		for id, n := range g.Nodes {
-			if n.Kind == shb.NWrite && n.Key.Field == "v" && g.Origin(id) != pta.MainOrigin {
+			if n.Kind == shb.NWrite && field(a, n) == "v" && g.Origin(id) != pta.MainOrigin {
 				return n.Locks != 0
 			}
 		}
 		return false
 	}
-	if handlerLocked(plain) {
+	if handlerLocked(pa, plain) {
 		t.Errorf("plain mode must not add the event lock")
 	}
-	if !handlerLocked(android) {
+	if !handlerLocked(aa, android) {
 		t.Errorf("Android mode must serialize handlers with the global lock")
 	}
 }
@@ -314,20 +318,28 @@ main {
 	}
 }
 
-// Accesses recorded in the SHB trace must agree with OSA's access keys.
+// Every location an SHB read or write touches is one OSA recorded.
 func TestSHBKeysConsistentWithOSA(t *testing.T) {
 	a, g := build(t, spawnJoin, shb.Config{})
 	sh := osa.Analyze(a)
-	keys := map[osa.Key]bool{}
+	locs := map[osa.Loc]bool{}
 	for _, acc := range sh.Accesses {
-		keys[acc.Key] = true
+		locs[acc.Loc] = true
 	}
 	for _, n := range g.Nodes {
 		if n.Kind == shb.NRead || n.Kind == shb.NWrite {
-			if !keys[n.Key] {
-				t.Errorf("SHB access %v unknown to OSA", n.Key)
+			if !locs[n.Loc] {
+				t.Errorf("SHB access %v unknown to OSA", osa.KeyOf(a, n.Loc))
 			}
 		}
+	}
+}
+
+// Nodes are the graph's arena, one per traced access or sync operation:
+// keep each at 48 bytes or less.
+func TestNodeSize(t *testing.T) {
+	if sz := unsafe.Sizeof(shb.Node{}); sz > 48 {
+		t.Errorf("shb.Node is %d bytes, want at most 48", sz)
 	}
 }
 
