@@ -40,7 +40,7 @@ type GateReport struct {
 	// field races.
 	GoSync *GoSyncGateStats `json:"gosync,omitempty"`
 	// AllocBudgets are the hard per-preset per-phase heap-allocation
-	// ceilings, keyed "preset/phase" (phases: pta, detect), measured
+	// ceilings, keyed "preset/phase" (phases: allocBudgetPhases), measured
 	// exactly (see obs.Registry.HeapMark). Unlike the byte-compared
 	// counters, allocation counts jitter slightly (GC assists, timer
 	// goroutines), so -update-golden records measured×1.10
@@ -57,10 +57,9 @@ type AllocBudget struct {
 	Bytes  int64 `json:"bytes"`
 }
 
-// allocBudgetPhases are the phases with hard allocation budgets: the two
-// hot paths the detector optimizes for. OSA/SHB gauges are still emitted
-// in the artifact for trend tracking but not gated.
-var allocBudgetPhases = []string{"pta", "detect"}
+// allocBudgetPhases are the phases with hard allocation budgets: all four
+// analysis phases.
+var allocBudgetPhases = []string{"pta", "osa", "shb", "detect"}
 
 // measuredAllocs extracts the per-preset per-phase heap-allocation gauges
 // from the report, keyed like AllocBudgets.
