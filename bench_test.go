@@ -277,6 +277,31 @@ func BenchmarkDetectAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontPhaseAllocs measures OSA and SHB construction on the
+// zookeeper preset, each over one solved pointer analysis:
+//
+//	go test -run '^$' -bench FrontPhaseAllocs -benchmem
+//
+// Both phases key their tables by the PAG node of each location, so their
+// allocation stays in a few per-phase arenas.
+func BenchmarkFrontPhaseAllocs(b *testing.B) {
+	entries := ir.DefaultEntryConfig()
+	p, _ := workload.ByName("zookeeper")
+	pr := bench.RunPTA(workload.Build(p, entries), bench.POPA, entries, 0)
+	b.Run("osa", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			osa.Analyze(pr.A)
+		}
+	})
+	b.Run("shb", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			shb.Build(pr.A, shb.Config{})
+		}
+	})
+}
+
 // BenchmarkFigure2 measures the paper's running example end to end.
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {

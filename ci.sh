@@ -9,7 +9,7 @@
 #   ./ci.sh bench-gate      run only the bench gate (emits BENCH_ci.json)
 #   ./ci.sh bench-variance  run only the timing-noise gate (emits VARIANCE_ci.json)
 #   ./ci.sh bench-frontend  run one pass of the frontend throughput benchmark
-#   ./ci.sh bench-detect    run one pass of the detection worker-pool benchmarks
+#   ./ci.sh bench-detect    run one pass of the detection pool and OSA/SHB allocation benchmarks
 #   ./ci.sh cover           run only the coverage floors
 #   ./ci.sh race            run only the race-detector pass
 #   ./ci.sh smoke           run only the serve/batch end-to-end smoke
@@ -40,13 +40,14 @@ bench_frontend() {
 	go test -run '^$' -bench Frontend -benchtime 1x ./internal/lang/
 }
 
-# Detection worker pool: one pass of BenchmarkParallelDetect (the Linux
-# model at 1-8 workers), BenchmarkParallelDetectObs and
-# BenchmarkDetectAllocs at GOMAXPROCS 1 and 2, so the pool's benchmarks
-# keep building and running. The numbers are informational; nothing is
-# gated on them.
+# Detection worker pool and the phases feeding it: one pass of
+# BenchmarkParallelDetect (the Linux model at 1-8 workers),
+# BenchmarkParallelDetectObs, BenchmarkDetectAllocs and
+# BenchmarkFrontPhaseAllocs (OSA and SHB on zookeeper) at GOMAXPROCS 1
+# and 2, so these benchmarks keep building and running. The numbers are
+# informational; nothing is gated on them.
 bench_detect() {
-	go test -run '^$' -bench 'ParallelDetect|DetectAllocs' -benchtime 1x -cpu 1,2 .
+	go test -run '^$' -bench 'ParallelDetect|DetectAllocs|FrontPhaseAllocs' -benchtime 1x -cpu 1,2 .
 }
 
 # Precision gate over the ground-truth oracle corpus (internal/truth):
