@@ -236,7 +236,8 @@ func Detect(a *pta.Analysis, sharing *osa.Result, g *shb.Graph, opt Options) *Re
 // (microseconds), in both sequential and parallel modes. The partial
 // report is returned alongside pta.ErrCanceled (or pta.ErrBudget when the
 // context deadline expired); it is a valid lower bound but not the full
-// result.
+// result. A canceled report holds only the groups merged before the
+// cancel: the parallel path stops merging its workers' results there.
 func DetectCtx(ctx context.Context, a *pta.Analysis, sharing *osa.Result, g *shb.Graph, opt Options) (*Report, error) {
 	sp := opt.Obs.StartSpan("detect")
 	start := time.Now()
