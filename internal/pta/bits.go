@@ -11,8 +11,8 @@ type Bits struct {
 // Add inserts i, reporting whether the set changed.
 func (b *Bits) Add(i uint32) bool {
 	word, bit := int(i>>6), i&63
-	for word >= len(b.w) {
-		b.w = append(b.w, 0)
+	if word >= len(b.w) {
+		b.w = append(b.w, make([]uint64, word+1-len(b.w))...)
 	}
 	m := uint64(1) << bit
 	if b.w[word]&m != 0 {
@@ -31,8 +31,8 @@ func (b *Bits) Has(i uint32) bool {
 // UnionWith ors c into b, reporting whether b changed.
 func (b *Bits) UnionWith(c *Bits) bool {
 	changed := false
-	for len(b.w) < len(c.w) {
-		b.w = append(b.w, 0)
+	if len(b.w) < len(c.w) {
+		b.w = append(b.w, make([]uint64, len(c.w)-len(b.w))...)
 	}
 	for i, w := range c.w {
 		if w&^b.w[i] != 0 {

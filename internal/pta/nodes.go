@@ -76,26 +76,22 @@ type objKey struct {
 	ctx  CtxID
 }
 
-type varKey struct {
-	v   *ir.Var
-	ctx CtxID
-}
+// fieldID identifies an interned field name or static-field signature.
+type fieldID uint32
 
-type fieldKey struct {
-	obj   ObjID
-	field string
-}
-
-// heap interns abstract objects and PAG nodes.
+// heap interns abstract objects, field names and the field and static
+// PAG nodes. Variable nodes are indexed by call-graph node instead
+// (Analysis.fnVars); all three kinds share the NodeID space in nodes.
 type heap struct {
-	objs      []ObjInfo // ObjID -> info; index 0 unused
-	objIdx    map[objKey]ObjID
-	funcIdx   map[*ir.Func]ObjID
-	handleIdx map[objKey]ObjID
-	varIdx    map[varKey]NodeID
-	fldIdx    map[fieldKey]NodeID
-	statIdx   map[string]NodeID
-	nodes     []nodeInfo // NodeID -> info
+	objs       []ObjInfo // ObjID -> info; index 0 unused
+	objIdx     map[objKey]ObjID
+	funcIdx    map[*ir.Func]ObjID
+	handleIdx  map[objKey]ObjID
+	fieldIDs   map[string]fieldID // field name or static signature -> ID
+	fieldNames []string           // fieldID -> name
+	fldIdx     map[uint64]NodeID  // obj<<32 | fieldID -> node
+	statIdx    map[fieldID]NodeID
+	nodes      []nodeInfo // NodeID -> info
 }
 
 type nodeKind uint8
@@ -107,11 +103,11 @@ const (
 )
 
 type nodeInfo struct {
-	kind  nodeKind
 	v     *ir.Var // nodeVar
 	ctx   CtxID   // nodeVar
 	obj   ObjID   // nodeField
-	field string  // nodeField / nodeStatic signature
+	field fieldID // nodeField / nodeStatic signature
+	kind  nodeKind
 }
 
 func newHeap() *heap {
@@ -120,9 +116,9 @@ func newHeap() *heap {
 		objIdx:    map[objKey]ObjID{},
 		funcIdx:   map[*ir.Func]ObjID{},
 		handleIdx: map[objKey]ObjID{},
-		varIdx:    map[varKey]NodeID{},
-		fldIdx:    map[fieldKey]NodeID{},
-		statIdx:   map[string]NodeID{},
+		fieldIDs:  map[string]fieldID{},
+		fldIdx:    map[uint64]NodeID{},
+		statIdx:   map[fieldID]NodeID{},
 	}
 }
 
@@ -182,32 +178,35 @@ func (h *heap) obj(id ObjID) *ObjInfo { return &h.objs[id] }
 // NumObjs returns the number of abstract objects created.
 func (h *heap) NumObjs() int { return len(h.objs) - 1 }
 
-func (h *heap) varNode(v *ir.Var, ctx CtxID) NodeID {
-	k := varKey{v, ctx}
-	if id, ok := h.varIdx[k]; ok {
-		return id
+// internField returns the ID of a field name or static signature.
+func (h *heap) internField(name string) fieldID {
+	if f, ok := h.fieldIDs[name]; ok {
+		return f
 	}
-	id := h.newNode(nodeInfo{kind: nodeVar, v: v, ctx: ctx})
-	h.varIdx[k] = id
-	return id
+	f := fieldID(len(h.fieldNames))
+	h.fieldNames = append(h.fieldNames, name)
+	h.fieldIDs[name] = f
+	return f
 }
 
-func (h *heap) fieldNode(obj ObjID, field string) NodeID {
-	k := fieldKey{obj, field}
+func fieldKey(obj ObjID, f fieldID) uint64 { return uint64(obj)<<32 | uint64(f) }
+
+func (h *heap) fieldNode(obj ObjID, f fieldID) NodeID {
+	k := fieldKey(obj, f)
 	if id, ok := h.fldIdx[k]; ok {
 		return id
 	}
-	id := h.newNode(nodeInfo{kind: nodeField, obj: obj, field: field})
+	id := h.newNode(nodeInfo{kind: nodeField, obj: obj, field: f})
 	h.fldIdx[k] = id
 	return id
 }
 
-func (h *heap) staticNode(sig string) NodeID {
-	if id, ok := h.statIdx[sig]; ok {
+func (h *heap) staticNode(f fieldID) NodeID {
+	if id, ok := h.statIdx[f]; ok {
 		return id
 	}
-	id := h.newNode(nodeInfo{kind: nodeStatic, field: sig})
-	h.statIdx[sig] = id
+	id := h.newNode(nodeInfo{kind: nodeStatic, field: f})
+	h.statIdx[f] = id
 	return id
 }
 
@@ -227,8 +226,8 @@ func (h *heap) nodeString(id NodeID, ctxs *ctxTable) string {
 		return fmt.Sprintf("⟨%s,%s⟩", n.v, ctxs.String(n.ctx))
 	case nodeField:
 		o := h.obj(n.obj)
-		return fmt.Sprintf("⟨o%d@%d,%s⟩.%s", n.obj, o.Site, ctxs.String(o.Ctx), n.field)
+		return fmt.Sprintf("⟨o%d@%d,%s⟩.%s", n.obj, o.Site, ctxs.String(o.Ctx), h.fieldNames[n.field])
 	default:
-		return n.field
+		return h.fieldNames[n.field]
 	}
 }

@@ -70,24 +70,26 @@ var emptyBits Bits
 // returned set must not be modified. Returns an empty set if the node does
 // not exist.
 func (a *Analysis) PointsTo(v *ir.Var, ctx CtxID) *Bits {
-	if id, ok := a.heap.varIdx[varKey{v, ctx}]; ok {
-		return &a.pts[id]
+	if fc, ok := a.CG.Lookup(v.Func, ctx); ok {
+		if vars := a.fnVars[fc]; v.ID < len(vars) && vars[v.ID] != 0 {
+			return &a.nodes[vars[v.ID]-1].pts
+		}
 	}
 	return &emptyBits
 }
 
 // FieldPointsTo returns the points-to set of ⟨obj⟩.field.
 func (a *Analysis) FieldPointsTo(obj ObjID, field string) *Bits {
-	if id, ok := a.heap.fldIdx[fieldKey{obj, field}]; ok {
-		return &a.pts[id]
+	if id, ok := a.FieldNode(obj, field); ok {
+		return &a.nodes[id].pts
 	}
 	return &emptyBits
 }
 
 // StaticPointsTo returns the points-to set of static field "Class.field".
 func (a *Analysis) StaticPointsTo(sig string) *Bits {
-	if id, ok := a.heap.statIdx[sig]; ok {
-		return &a.pts[id]
+	if id, ok := a.StaticNode(sig); ok {
+		return &a.nodes[id].pts
 	}
 	return &emptyBits
 }
@@ -96,14 +98,22 @@ func (a *Analysis) StaticPointsTo(sig string) *Bits {
 // solved analysis has a node for every field a load or store reaches; one
 // that stopped early (step budget, cancellation) may lack it.
 func (a *Analysis) FieldNode(obj ObjID, field string) (NodeID, bool) {
-	id, ok := a.heap.fldIdx[fieldKey{obj, field}]
+	f, ok := a.heap.fieldIDs[field]
+	if !ok {
+		return 0, false
+	}
+	id, ok := a.heap.fldIdx[fieldKey(obj, f)]
 	return id, ok
 }
 
 // StaticNode returns the PAG node of static field sig ("Class.field")
 // without creating one; see FieldNode for when it is missing.
 func (a *Analysis) StaticNode(sig string) (NodeID, bool) {
-	id, ok := a.heap.statIdx[sig]
+	f, ok := a.heap.fieldIDs[sig]
+	if !ok {
+		return 0, false
+	}
+	id, ok := a.heap.statIdx[f]
 	return id, ok
 }
 
@@ -112,7 +122,7 @@ func (a *Analysis) StaticNode(sig string) (NodeID, bool) {
 // node.
 func (a *Analysis) NodeField(id NodeID) (ObjID, string) {
 	n := &a.heap.nodes[id]
-	return n.obj, n.field
+	return n.obj, a.heap.fieldNames[n.field]
 }
 
 // NumNodes returns the number of PAG nodes; NodeIDs are below it.
@@ -221,17 +231,22 @@ func (a *Analysis) MainNode() FnCtxID {
 }
 
 // ForEachFieldNode invokes fn for every object-field node in the PAG with
-// its points-to set, in unspecified order.
+// its points-to set, in NodeID order.
 func (a *Analysis) ForEachFieldNode(fn func(obj ObjID, field string, pts *Bits)) {
-	for k, id := range a.heap.fldIdx {
-		fn(k.obj, k.field, &a.pts[id])
+	for id, n := range a.heap.nodes {
+		if n.kind == nodeField {
+			fn(n.obj, a.heap.fieldNames[n.field], &a.nodes[id].pts)
+		}
 	}
 }
 
-// ForEachStaticNode invokes fn for every static-field node in the PAG.
+// ForEachStaticNode invokes fn for every static-field node in the PAG, in
+// NodeID order.
 func (a *Analysis) ForEachStaticNode(fn func(sig string, pts *Bits)) {
-	for sig, id := range a.heap.statIdx {
-		fn(sig, &a.pts[id])
+	for id, n := range a.heap.nodes {
+		if n.kind == nodeStatic {
+			fn(a.heap.fieldNames[n.field], &a.nodes[id].pts)
+		}
 	}
 }
 

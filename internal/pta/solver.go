@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"o2/internal/ir"
@@ -66,12 +67,12 @@ const (
 
 type loadC struct {
 	dst   NodeID
-	field string
+	field fieldID
 }
 
 type storeC struct {
 	src   NodeID
-	field string
+	field fieldID
 }
 
 type callC struct {
@@ -80,7 +81,27 @@ type callC struct {
 	idx    int // instruction index in caller body
 }
 
-type edgeKey struct{ from, to NodeID }
+// pnode is the solver state of one PAG node.
+type pnode struct {
+	pts   Bits
+	delta Bits // objects added since the node was last processed
+	succ  []NodeID
+	cons  int32 // 1 + index into Analysis.cons; 0 when nothing is based here
+	inWL  bool
+}
+
+// nodeCons holds the constraints based on one node, each kind in
+// registration order.
+type nodeCons struct {
+	loads  []loadC
+	stores []storeC
+	calls  []callC
+}
+
+// smallSucc is the successor count up to which addEdge dedups by scanning
+// the node's successor list; from it on, the node's edges live in
+// Analysis.edges. Most nodes never reach it.
+const smallSucc = 16
 
 // Analysis holds all state of one pointer-analysis run and is the query
 // interface used by OSA, SHB construction and the race detector.
@@ -93,19 +114,20 @@ type Analysis struct {
 	ctxs *ctxTable
 	heap *heap
 
-	pts   []Bits
-	delta []Bits
-	succ  [][]NodeID
-	edges map[edgeKey]struct{}
+	nodes []pnode    // NodeID -> solver state
+	cons  []nodeCons // pnode.cons-1 -> constraints based on that node
+	// edges dedups the edges of nodes with at least smallSucc
+	// successors, keyed by from<<32 | to.
+	edges map[uint64]struct{}
+	// fnVars maps FnCtxID, then ir.Var.ID, to the variable's node + 1
+	// (0: not created yet). Each table has one slot per local of its
+	// call-graph node's function; it is made when the node becomes
+	// reachable, so len(fnVars) is also the number of nodes whose
+	// constraints are generated or queued.
+	fnVars [][]NodeID
 
-	loads  map[NodeID][]loadC
-	stores map[NodeID][]storeC
-	calls  map[NodeID][]callC
-
-	processed []bool // per FnCtxID: body constraints generated
-	fnWL      []FnCtxID
-	wl        []NodeID
-	inWL      []bool
+	fnWL []FnCtxID
+	wl   []NodeID
 
 	// hasOriginAlloc marks functions that directly contain an origin
 	// allocation; under the KOrigin policy such functions are analyzed with
@@ -133,10 +155,7 @@ func New(prog *ir.Program, cfg Config) *Analysis {
 		Origins:        newOriginTable(),
 		ctxs:           newCtxTable(),
 		heap:           newHeap(),
-		edges:          map[edgeKey]struct{}{},
-		loads:          map[NodeID][]loadC{},
-		stores:         map[NodeID][]storeC{},
-		calls:          map[NodeID][]callC{},
+		edges:          map[uint64]struct{}{},
 		hasOriginAlloc: map[*ir.Func]bool{},
 	}
 	for _, f := range prog.Funcs {
@@ -154,8 +173,8 @@ func New(prog *ir.Program, cfg Config) *Analysis {
 func (a *Analysis) Solve() error { return a.SolveCtx(context.Background()) }
 
 // SolveCtx runs the analysis to fixpoint under a context. Cancellation is
-// observed in the step loop (every few thousand propagation steps), so
-// SolveCtx returns promptly after the context ends: ErrCanceled on
+// polled on every step (one atomic load of a Latch), so SolveCtx returns
+// promptly after the context ends: ErrCanceled on
 // cancellation, ErrBudget when the context deadline (or Config.TimeBudget,
 // which derives one) expires.
 func (a *Analysis) SolveCtx(ctx context.Context) error {
@@ -192,7 +211,7 @@ func (a *Analysis) SolveCtx(ctx context.Context) error {
 		if n := len(a.wl); n > 0 {
 			id := a.wl[n-1]
 			a.wl = a.wl[:n-1]
-			a.inWL[id] = false
+			a.nodes[id].inWL = false
 			a.iterations++
 			a.processNode(id)
 			continue
@@ -224,8 +243,8 @@ func (a *Analysis) recordObs() {
 	// Distribution of non-empty points-to set sizes: the quantity that
 	// governs both precision (aliasing resolution) and propagation cost.
 	h := reg.Histogram("pta.points_to_size", obs.SizeBuckets)
-	for i := range a.pts {
-		if n := a.pts[i].Len(); n > 0 {
+	for i := range a.nodes {
+		if n := a.nodes[i].pts.Len(); n > 0 {
 			h.Observe(float64(n))
 		}
 	}
@@ -251,53 +270,75 @@ func (a *Analysis) isOriginClass(c *ir.Class) bool { return c.IsThread || c.IsEv
 
 // ---- node/pts management ----
 
+// ensureNode makes room for node id, doubling the node table when full.
 func (a *Analysis) ensureNode(id NodeID) {
-	for int(id) >= len(a.pts) {
-		a.pts = append(a.pts, Bits{})
-		a.delta = append(a.delta, Bits{})
-		a.succ = append(a.succ, nil)
-		a.inWL = append(a.inWL, false)
+	if int(id) < len(a.nodes) {
+		return
 	}
+	if int(id) >= cap(a.nodes) {
+		nodes := make([]pnode, len(a.nodes), max(int(id)+1, 2*cap(a.nodes), 64))
+		copy(nodes, a.nodes)
+		a.nodes = nodes
+	}
+	a.nodes = a.nodes[:id+1]
 }
 
-func (a *Analysis) varNode(v *ir.Var, ctx CtxID) NodeID {
-	id := a.heap.varNode(v, ctx)
+// varNode returns the node of v in call-graph node fc, whose function
+// must be v's.
+func (a *Analysis) varNode(fc FnCtxID, v *ir.Var) NodeID {
+	vars := a.fnVars[fc]
+	if id := vars[v.ID]; id != 0 {
+		return id - 1
+	}
+	id := a.heap.newNode(nodeInfo{kind: nodeVar, v: v, ctx: a.CG.Get(fc).Ctx})
+	vars[v.ID] = id + 1
 	a.ensureNode(id)
 	return id
 }
 
-func (a *Analysis) fieldNode(obj ObjID, field string) NodeID {
-	id := a.heap.fieldNode(obj, field)
+func (a *Analysis) fieldNode(obj ObjID, f fieldID) NodeID {
+	id := a.heap.fieldNode(obj, f)
 	a.ensureNode(id)
 	return id
 }
 
 func (a *Analysis) staticNode(c *ir.Class, field string) NodeID {
-	id := a.heap.staticNode(c.Name + "." + field)
+	id := a.heap.staticNode(a.heap.internField(c.Name + "." + field))
 	a.ensureNode(id)
 	return id
 }
 
+// consOf returns the constraint lists based on node n, creating them.
+func (a *Analysis) consOf(n NodeID) *nodeCons {
+	p := &a.nodes[n]
+	if p.cons == 0 {
+		a.cons = append(a.cons, nodeCons{})
+		p.cons = int32(len(a.cons))
+	}
+	return &a.cons[p.cons-1]
+}
+
 func (a *Analysis) enqueue(n NodeID) {
-	if !a.inWL[n] {
-		a.inWL[n] = true
+	if p := &a.nodes[n]; !p.inWL {
+		p.inWL = true
 		a.wl = append(a.wl, n)
 	}
 }
 
 func (a *Analysis) addObj(n NodeID, o ObjID) {
-	if a.pts[n].Add(uint32(o)) {
-		a.delta[n].Add(uint32(o))
+	if p := &a.nodes[n]; p.pts.Add(uint32(o)) {
+		p.delta.Add(uint32(o))
 		a.enqueue(n)
 	}
 }
 
 func (a *Analysis) addSet(n NodeID, s *Bits) {
+	p := &a.nodes[n]
 	changed := false
 	s.ForEach(func(o uint32) {
 		a.steps++ // propagation work: one unit per candidate object
-		if a.pts[n].Add(o) {
-			a.delta[n].Add(o)
+		if p.pts.Add(o) {
+			p.delta.Add(o)
 			changed = true
 		}
 	})
@@ -310,59 +351,75 @@ func (a *Analysis) addEdge(from, to NodeID) {
 	if from == to {
 		return
 	}
-	k := edgeKey{from, to}
-	if _, dup := a.edges[k]; dup {
-		return
+	p := &a.nodes[from]
+	if len(p.succ) < smallSucc {
+		if slices.Contains(p.succ, to) {
+			return
+		}
+	} else {
+		k := uint64(from)<<32 | uint64(to)
+		if _, dup := a.edges[k]; dup {
+			return
+		}
+		a.edges[k] = struct{}{}
 	}
-	a.edges[k] = struct{}{}
-	a.succ[from] = append(a.succ[from], to)
+	p.succ = append(p.succ, to)
+	if len(p.succ) == smallSucc {
+		for _, t := range p.succ {
+			a.edges[uint64(from)<<32|uint64(t)] = struct{}{}
+		}
+	}
 	a.numEdges++
 	a.constraints++
-	if !a.pts[from].IsEmpty() {
-		a.addSet(to, &a.pts[from])
+	if !p.pts.IsEmpty() {
+		a.addSet(to, &p.pts)
 	}
 }
 
 func (a *Analysis) processNode(n NodeID) {
-	d := a.delta[n]
-	a.delta[n] = Bits{}
+	p := &a.nodes[n]
+	d := p.delta
+	p.delta = Bits{}
 	if d.IsEmpty() {
 		return
 	}
-	for _, m := range a.succ[n] {
+	for _, m := range p.succ {
 		if !a.budget() {
 			return
 		}
 		a.addSet(m, &d)
 	}
-	for _, lc := range a.loads[n] {
-		d.ForEach(func(o uint32) {
-			a.addEdge(a.fieldNode(ObjID(o), lc.field), lc.dst)
-		})
-	}
-	for _, sc := range a.stores[n] {
-		d.ForEach(func(o uint32) {
-			a.addEdge(sc.src, a.fieldNode(ObjID(o), sc.field))
-		})
-	}
-	for _, cc := range a.calls[n] {
-		d.ForEach(func(o uint32) {
-			if !a.budget() {
-				return
-			}
-			a.resolveCall(cc, ObjID(o))
-		})
+	// The constraints below create field nodes, which may move a.nodes,
+	// so p is reloaded after them; a.cons grows only in genConstraints.
+	if ci := p.cons; ci != 0 {
+		c := &a.cons[ci-1]
+		for _, lc := range c.loads {
+			d.ForEach(func(o uint32) {
+				a.addEdge(a.fieldNode(ObjID(o), lc.field), lc.dst)
+			})
+		}
+		for _, sc := range c.stores {
+			d.ForEach(func(o uint32) {
+				a.addEdge(sc.src, a.fieldNode(ObjID(o), sc.field))
+			})
+		}
+		for _, cc := range c.calls {
+			d.ForEach(func(o uint32) {
+				if !a.budget() {
+					return
+				}
+				a.resolveCall(cc, ObjID(o))
+			})
+		}
 	}
 	// Recycle d's word storage into the (now empty, unless a callback
 	// above re-populated it) delta slot, so the next delta for this node
 	// grows into existing capacity instead of reallocating from nil —
 	// deltas churn once per worklist pop, the solver's hottest allocation
 	// site.
-	if len(a.delta[n].w) == 0 {
-		for i := range d.w {
-			d.w[i] = 0
-		}
-		a.delta[n] = d
+	if p = &a.nodes[n]; len(p.delta.w) == 0 {
+		clear(d.w)
+		p.delta = d
 	}
 }
 
@@ -445,11 +502,8 @@ func (a *Analysis) originCtx(allocCtx CtxID, site int) CtxID {
 
 func (a *Analysis) markReachable(fn *ir.Func, ctx CtxID) FnCtxID {
 	id := a.CG.Node(fn, ctx)
-	for int(id) >= len(a.processed) {
-		a.processed = append(a.processed, false)
-	}
-	if !a.processed[id] {
-		a.processed[id] = true
+	if int(id) == len(a.fnVars) {
+		a.fnVars = append(a.fnVars, make([]NodeID, len(fn.Locals)))
 		a.fnWL = append(a.fnWL, id)
 	}
 	return id
@@ -464,65 +518,41 @@ func (a *Analysis) genConstraints(id FnCtxID) {
 		}
 		switch in := in.(type) {
 		case *ir.Alloc:
-			a.genAlloc(id, fn, ctx, in, idx)
+			a.genAlloc(id, ctx, in, idx)
 		case *ir.Copy:
-			a.addEdge(a.varNode(in.Src, ctx), a.varNode(in.Dst, ctx))
+			a.addEdge(a.varNode(id, in.Src), a.varNode(id, in.Dst))
 		case *ir.LoadField:
-			base := a.varNode(in.Obj, ctx)
-			dst := a.varNode(in.Dst, ctx)
-			a.loads[base] = append(a.loads[base], loadC{dst, in.Field})
-			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, in.Field), dst) })
+			a.genLoad(a.varNode(id, in.Obj), a.varNode(id, in.Dst), in.Field)
 		case *ir.StoreField:
-			base := a.varNode(in.Obj, ctx)
-			src := a.varNode(in.Src, ctx)
-			a.stores[base] = append(a.stores[base], storeC{src, in.Field})
-			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, in.Field)) })
+			a.genStore(a.varNode(id, in.Obj), a.varNode(id, in.Src), in.Field)
 		case *ir.LoadIndex:
-			base := a.varNode(in.Arr, ctx)
-			dst := a.varNode(in.Dst, ctx)
-			a.loads[base] = append(a.loads[base], loadC{dst, ir.ArrayField})
-			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, ir.ArrayField), dst) })
+			a.genLoad(a.varNode(id, in.Arr), a.varNode(id, in.Dst), ir.ArrayField)
 		case *ir.StoreIndex:
-			base := a.varNode(in.Arr, ctx)
-			src := a.varNode(in.Src, ctx)
-			a.stores[base] = append(a.stores[base], storeC{src, ir.ArrayField})
-			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, ir.ArrayField)) })
+			a.genStore(a.varNode(id, in.Arr), a.varNode(id, in.Src), ir.ArrayField)
 		case *ir.LoadStatic:
-			a.addEdge(a.staticNode(in.Class, in.Field), a.varNode(in.Dst, ctx))
+			a.addEdge(a.staticNode(in.Class, in.Field), a.varNode(id, in.Dst))
 		case *ir.StoreStatic:
-			a.addEdge(a.varNode(in.Src, ctx), a.staticNode(in.Class, in.Field))
+			a.addEdge(a.varNode(id, in.Src), a.staticNode(in.Class, in.Field))
 		case *ir.FuncAddr:
-			a.addObj(a.varNode(in.Dst, ctx), a.heap.internFuncObj(in.Target, in.Pos()))
+			a.addObj(a.varNode(id, in.Dst), a.heap.internFuncObj(in.Target, in.Pos()))
 		case *ir.ChanMake:
 			obj, _ := a.heap.internChanObj(in, a.heapCtx(ctx))
-			a.addObj(a.varNode(in.Dst, ctx), obj)
+			a.addObj(a.varNode(id, in.Dst), obj)
 		case *ir.ChanSend:
 			// Value flow through the channel: send stores into the channel
 			// object's synthetic "$elem" slot, recv loads from it, so a
 			// pointer sent over a channel reaches every receiver that may
 			// share the channel (Fava/Steffen's communication semantics,
 			// flow-insensitively).
-			base := a.varNode(in.Ch, ctx)
-			src := a.varNode(in.Val, ctx)
-			a.stores[base] = append(a.stores[base], storeC{src, ChanElemField})
-			a.constraints++
-			a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, ChanElemField)) })
+			a.genStore(a.varNode(id, in.Ch), a.varNode(id, in.Val), ChanElemField)
 		case *ir.ChanRecv:
 			if in.Dst != nil {
-				base := a.varNode(in.Ch, ctx)
-				dst := a.varNode(in.Dst, ctx)
-				a.loads[base] = append(a.loads[base], loadC{dst, ChanElemField})
-				a.constraints++
-				a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, ChanElemField), dst) })
+				a.genLoad(a.varNode(id, in.Ch), a.varNode(id, in.Dst), ChanElemField)
 			}
 		case *ir.Call:
 			if in.Static != nil && in.Recv == nil {
 				calleeCtx := a.calleeCtx(ctx, in.Site, 0, in.Static)
-				a.bindCall(id, ctx, in, idx, in.Static, calleeCtx, 0, EdgeCall)
+				a.bindCall(id, in, idx, in.Static, calleeCtx, 0, EdgeCall)
 				continue
 			}
 			// The points-to set of the dispatch variable drives binding:
@@ -542,29 +572,51 @@ func (a *Analysis) genConstraints(id FnCtxID) {
 			default:
 				driver = in.Recv
 			}
-			recv := a.varNode(driver, ctx)
+			recv := a.varNode(id, driver)
 			cc := callC{caller: id, instr: in, idx: idx}
-			a.calls[recv] = append(a.calls[recv], cc)
+			c := a.consOf(recv)
+			c.calls = append(c.calls, cc)
 			a.constraints++
 			a.replayObjs(recv, func(o ObjID) { a.resolveCall(cc, o) })
 		}
 	}
 }
 
+// genLoad registers dst = base.field and applies it to the objects base
+// already points to.
+func (a *Analysis) genLoad(base, dst NodeID, field string) {
+	f := a.heap.internField(field)
+	c := a.consOf(base)
+	c.loads = append(c.loads, loadC{dst, f})
+	a.constraints++
+	a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, f), dst) })
+}
+
+// genStore registers base.field = src and applies it to the objects base
+// already points to.
+func (a *Analysis) genStore(base, src NodeID, field string) {
+	f := a.heap.internField(field)
+	c := a.consOf(base)
+	c.stores = append(c.stores, storeC{src, f})
+	a.constraints++
+	a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, f)) })
+}
+
 // replayObjs invokes fn for objects already in pts(base) when a constraint
 // is registered late (the node may have been populated by earlier callers).
-// The snapshot lands in a reused scratch buffer: fn may grow a.pts
+// The snapshot lands in a reused scratch buffer: fn may grow a.nodes
 // (ensureNode) or mutate pts(base) itself, but never re-enters replayObjs
 // (its callbacks only enqueue work), so one scratch per Analysis is safe.
 func (a *Analysis) replayObjs(base NodeID, fn func(ObjID)) {
-	if a.pts[base].IsEmpty() {
+	pts := &a.nodes[base].pts
+	if pts.IsEmpty() {
 		return
 	}
-	a.replayScratch.w = append(a.replayScratch.w[:0], a.pts[base].w...)
+	a.replayScratch.w = append(a.replayScratch.w[:0], pts.w...)
 	a.replayScratch.ForEach(func(o uint32) { fn(ObjID(o)) })
 }
 
-func (a *Analysis) genAlloc(caller FnCtxID, fn *ir.Func, ctx CtxID, al *ir.Alloc, idx int) {
+func (a *Analysis) genAlloc(caller FnCtxID, ctx CtxID, al *ir.Alloc, idx int) {
 	isOrigin := a.isOriginClass(al.Class)
 	replicate := al.InLoop || (al.Class.IsEvent && !al.Class.IsThread && a.Cfg.ReplicateEvents)
 
@@ -591,7 +643,7 @@ func (a *Analysis) genAlloc(caller FnCtxID, fn *ir.Func, ctx CtxID, al *ir.Alloc
 
 	for _, hctx := range hctxs {
 		obj, isNew := a.heap.internObj(al, hctx)
-		a.addObj(a.varNode(al.Dst, ctx), obj)
+		a.addObj(a.varNode(caller, al.Dst), obj)
 
 		if isOrigin && isNew {
 			kind := KindThread
@@ -627,10 +679,10 @@ func (a *Analysis) genAlloc(caller FnCtxID, fn *ir.Func, ctx CtxID, al *ir.Alloc
 				}
 			}
 			callee := a.markReachable(init, initCtx)
-			a.addObj(a.varNode(init.Params[0], initCtx), obj)
+			a.addObj(a.varNode(callee, init.Params[0]), obj)
 			for i, arg := range al.Args {
 				if i+1 < len(init.Params) {
-					a.addEdge(a.varNode(arg, ctx), a.varNode(init.Params[i+1], initCtx))
+					a.addEdge(a.varNode(caller, arg), a.varNode(callee, init.Params[i+1]))
 				}
 			}
 			kind := EdgeCall
@@ -682,7 +734,7 @@ func (a *Analysis) resolveCall(cc callC, recv ObjID) {
 		}
 		target := info.Fn
 		calleeCtx := a.calleeCtx(callerCtx, in.Site, 0, target)
-		a.bindCall(cc.caller, callerCtx, in, cc.idx, target, calleeCtx, 0, EdgeCall)
+		a.bindCall(cc.caller, in, cc.idx, target, calleeCtx, 0, EdgeCall)
 		return
 	}
 
@@ -728,7 +780,7 @@ func (a *Analysis) resolveCall(cc callC, recv ObjID) {
 	}
 
 	calleeCtx := a.calleeCtx(callerCtx, in.Site, recv, target)
-	a.bindCall(cc.caller, callerCtx, in, cc.idx, target, calleeCtx, recv, EdgeCall)
+	a.bindCall(cc.caller, in, cc.idx, target, calleeCtx, recv, EdgeCall)
 }
 
 // spawn handles an origin-entry invocation (rule ⑨ of Table 2): thread
@@ -754,14 +806,14 @@ func (a *Analysis) spawn(cc callC, recv ObjID, oid OriginID, entry *ir.Func, cal
 		}
 	}
 	callee := a.markReachable(entry, calleeCtx)
-	a.addObj(a.varNode(entry.Params[0], calleeCtx), recv)
+	a.addObj(a.varNode(callee, entry.Params[0]), recv)
 	for i, arg := range cc.instr.Args {
 		if i+1 < len(entry.Params) {
-			a.addEdge(a.varNode(arg, callerCtx), a.varNode(entry.Params[i+1], calleeCtx))
+			a.addEdge(a.varNode(cc.caller, arg), a.varNode(callee, entry.Params[i+1]))
 		}
 	}
 	if cc.instr.Dst != nil && entry.Ret != nil {
-		a.addEdge(a.varNode(entry.Ret, calleeCtx), a.varNode(cc.instr.Dst, callerCtx))
+		a.addEdge(a.varNode(callee, entry.Ret), a.varNode(cc.caller, cc.instr.Dst))
 	}
 	a.CG.addEdge(Edge{Kind: EdgeSpawn, Caller: cc.caller, InstrIdx: cc.idx, Callee: callee, Origin: oid})
 }
@@ -818,32 +870,32 @@ func (a *Analysis) spawnPthread(cc callC, entry *ir.Func, kind OriginKind, calle
 		// Bind the start argument to the entry's first parameter: the
 		// origin attribute.
 		if len(in.Args) > 1 && len(entry.Params) > 0 {
-			a.addEdge(a.varNode(in.Args[1], callerCtx), a.varNode(entry.Params[0], calleeCtx))
+			a.addEdge(a.varNode(cc.caller, in.Args[1]), a.varNode(callee, entry.Params[0]))
 		}
 		if in.Dst != nil {
-			a.addObj(a.varNode(in.Dst, callerCtx), handle)
+			a.addObj(a.varNode(cc.caller, in.Dst), handle)
 		}
 		a.CG.addEdge(Edge{Kind: EdgeSpawn, Caller: cc.caller, InstrIdx: cc.idx, Callee: callee, Origin: oid})
 	}
 }
 
-func (a *Analysis) bindCall(caller FnCtxID, callerCtx CtxID, in *ir.Call, idx int, target *ir.Func, calleeCtx CtxID, recv ObjID, kind EdgeKind) {
+func (a *Analysis) bindCall(caller FnCtxID, in *ir.Call, idx int, target *ir.Func, calleeCtx CtxID, recv ObjID, kind EdgeKind) {
 	callee := a.markReachable(target, calleeCtx)
 	params := target.Params
 	args := in.Args
 	if recv != 0 && len(params) > 0 {
-		a.addObj(a.varNode(params[0], calleeCtx), recv)
+		a.addObj(a.varNode(callee, params[0]), recv)
 		params = params[1:]
 	} else if in.Recv == nil && target.Class != nil && len(params) > 0 {
 		params = params[1:] // static call to a method: no receiver bound
 	}
 	for i, arg := range args {
 		if i < len(params) {
-			a.addEdge(a.varNode(arg, callerCtx), a.varNode(params[i], calleeCtx))
+			a.addEdge(a.varNode(caller, arg), a.varNode(callee, params[i]))
 		}
 	}
 	if in.Dst != nil && target.Ret != nil {
-		a.addEdge(a.varNode(target.Ret, calleeCtx), a.varNode(in.Dst, callerCtx))
+		a.addEdge(a.varNode(callee, target.Ret), a.varNode(caller, in.Dst))
 	}
 	a.CG.addEdge(Edge{Kind: kind, Caller: caller, InstrIdx: idx, Callee: callee})
 }
