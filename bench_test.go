@@ -277,17 +277,28 @@ func BenchmarkDetectAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkFrontPhaseAllocs measures OSA and SHB construction on the
-// zookeeper preset, each over one solved pointer analysis:
+// BenchmarkFrontPhaseAllocs measures the pointer analysis, then OSA and
+// SHB construction over one solved analysis, on the zookeeper preset:
 //
 //	go test -run '^$' -bench FrontPhaseAllocs -benchmem
 //
-// Both phases key their tables by the PAG node of each location, so their
-// allocation stays in a few per-phase arenas.
+// The solver keeps its state in dense per-node and per-call-graph-node
+// tables, and OSA and SHB key theirs by the PAG node of each location, so
+// each phase's allocation stays in a few arenas.
 func BenchmarkFrontPhaseAllocs(b *testing.B) {
 	entries := ir.DefaultEntryConfig()
 	p, _ := workload.ByName("zookeeper")
-	pr := bench.RunPTA(workload.Build(p, entries), bench.POPA, entries, 0)
+	prog := workload.Build(p, entries)
+	b.Run("pta", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			a := pta.New(prog, pta.Config{Policy: bench.POPA, Entries: entries})
+			if err := a.Solve(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	pr := bench.RunPTA(prog, bench.POPA, entries, 0)
 	b.Run("osa", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
