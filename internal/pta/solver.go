@@ -103,6 +103,8 @@ type nodeCons struct {
 // Analysis.edges. Most nodes never reach it.
 const smallSucc = 16
 
+func edgeKey(from, to NodeID) uint64 { return uint64(from)<<32 | uint64(to) }
+
 // Analysis holds all state of one pointer-analysis run and is the query
 // interface used by OSA, SHB construction and the race detector.
 type Analysis struct {
@@ -117,13 +119,13 @@ type Analysis struct {
 	nodes []pnode    // NodeID -> solver state
 	cons  []nodeCons // pnode.cons-1 -> constraints based on that node
 	// edges dedups the edges of nodes with at least smallSucc
-	// successors, keyed by from<<32 | to.
+	// successors (edgeKey).
 	edges map[uint64]struct{}
 	// fnVars maps FnCtxID, then ir.Var.ID, to the variable's node + 1
 	// (0: not created yet). Each table has one slot per local of its
-	// call-graph node's function; it is made when the node becomes
-	// reachable, so len(fnVars) is also the number of nodes whose
-	// constraints are generated or queued.
+	// call-graph node's function. markReachable makes it when the
+	// call-graph node is created, so a node is new exactly when its ID
+	// equals len(fnVars).
 	fnVars [][]NodeID
 
 	fnWL []FnCtxID
@@ -357,7 +359,7 @@ func (a *Analysis) addEdge(from, to NodeID) {
 			return
 		}
 	} else {
-		k := uint64(from)<<32 | uint64(to)
+		k := edgeKey(from, to)
 		if _, dup := a.edges[k]; dup {
 			return
 		}
@@ -366,7 +368,7 @@ func (a *Analysis) addEdge(from, to NodeID) {
 	p.succ = append(p.succ, to)
 	if len(p.succ) == smallSucc {
 		for _, t := range p.succ {
-			a.edges[uint64(from)<<32|uint64(t)] = struct{}{}
+			a.edges[edgeKey(from, t)] = struct{}{}
 		}
 	}
 	a.numEdges++
