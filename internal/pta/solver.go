@@ -175,8 +175,8 @@ func New(prog *ir.Program, cfg Config) *Analysis {
 func (a *Analysis) Solve() error { return a.SolveCtx(context.Background()) }
 
 // SolveCtx runs the analysis to fixpoint under a context. Cancellation is
-// polled on every step (one atomic load of a Latch), so SolveCtx returns
-// promptly after the context ends: ErrCanceled on
+// polled at every budget check (one atomic load of a Latch), so SolveCtx
+// returns promptly after the context ends: ErrCanceled on
 // cancellation, ErrBudget when the context deadline (or Config.TimeBudget,
 // which derives one) expires.
 func (a *Analysis) SolveCtx(ctx context.Context) error {
