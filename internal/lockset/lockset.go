@@ -19,8 +19,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"o2/internal/obs"
 )
 
 // ID is a canonical lockset identifier. Empty is the empty lockset.
@@ -83,9 +81,8 @@ type view struct {
 // Table interns locksets into canonical IDs. Canon is called while the SHB
 // graph is built and is guarded by a mutex; Intersects/Set/Len are called
 // from the race-detection workers and are lock-free (they read the
-// atomically published view). Stats are atomic obs counters, so polling
-// them concurrently is safe (TestStatsConcurrentReads pins this under
-// -race).
+// atomically published view). Stats is safe to poll concurrently
+// (TestStatsConcurrentReads pins this under -race).
 type Table struct {
 	mu      sync.Mutex
 	index   map[string]ID
@@ -93,53 +90,33 @@ type Table struct {
 	locks   []uint32          // dense bit index → lock object
 	scratch []uint32          // Canon's sort/dedupe buffer, reused across calls
 	view    atomic.Pointer[view]
-
-	// canonCalls: standalone counter by default, rebound into the
-	// pipeline's registry by Bind.
-	canonCalls *obs.Counter
 }
 
 // NewTable returns an empty table containing only the empty lockset.
 func NewTable() *Table {
 	t := &Table{
-		index:      map[string]ID{"": Empty},
-		dense:      map[uint32]uint32{},
-		canonCalls: obs.NewCounter(),
+		index: map[string]ID{"": Empty},
+		dense: map[uint32]uint32{},
 	}
 	t.view.Store(&view{sets: [][]uint32{nil}, bits: []bitset{{}}})
 	return t
 }
 
-// Bind redirects the table's stats into a registry under the
-// lockset.canon_calls name. A nil registry leaves the standalone counter
-// in place.
-func (t *Table) Bind(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	t.canonCalls = reg.Counter("lockset.canon_calls")
-}
-
-// Stats is an atomic snapshot of the table's counters.
+// Stats is a snapshot of the table's size.
 type Stats struct {
-	CanonCalls int64
 	// Locks is the number of distinct lock objects interned (the bitset
 	// width); Sets the number of distinct locksets including empty.
 	Locks int
 	Sets  int
 }
 
-// Stats returns the current counters. Safe to call concurrently with
-// Intersects.
+// Stats returns the current sizes. Safe to call concurrently with Canon
+// and Intersects.
 func (t *Table) Stats() Stats {
 	t.mu.Lock()
 	locks := len(t.locks)
 	t.mu.Unlock()
-	return Stats{
-		CanonCalls: t.canonCalls.Load(),
-		Locks:      locks,
-		Sets:       t.Len(),
-	}
+	return Stats{Locks: locks, Sets: t.Len()}
 }
 
 // Canon returns the canonical ID for the given lock objects (duplicates
@@ -147,7 +124,6 @@ func (t *Table) Stats() Stats {
 // calls it from one goroutine; dense bit indices are assigned in
 // first-seen order, so a deterministic build yields deterministic IDs.
 func (t *Table) Canon(objs []uint32) ID {
-	t.canonCalls.Inc()
 	if len(objs) == 0 {
 		return Empty
 	}

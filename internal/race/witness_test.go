@@ -165,3 +165,31 @@ main {
 		}
 	}
 }
+
+// TestWitnessSpawnIntoEmptyTrace: each W thread races on data and starts
+// an E thread whose run() is empty. Regression: the spawn into E's empty
+// trace was an edge to node -1, and building the witness panicked with
+// index out of range.
+func TestWitnessSpawnIntoEmptyTrace(t *testing.T) {
+	prog := `
+class S { field data; }
+class E { run() { } }
+class W {
+  field s;
+  W(s) { this.s = s; }
+  run() { e = new E(); e.start(); sh = this.s; sh.data = this; }
+}
+main { s = new S(); t1 = new W(s); t2 = new W(s); t1.start(); t2.start(); }
+`
+	a, rep := detectSHB(t, prog)
+	if len(rep.report.Races) != 1 {
+		t.Fatalf("setup: %d races, want 1", len(rep.report.Races))
+	}
+	w := race.BuildWitness(a, rep.graph, &rep.report.Races[0])
+	if w.Ordering.Verdict != race.OrderNoHBPath || len(w.Ordering.SyncEdges) != 0 {
+		t.Errorf("ordering evidence = %+v, want no-hb-path without sync edges", w.Ordering)
+	}
+	if got := race.Explain(a, rep.graph, &rep.report.Races[0]); got != w.Text() {
+		t.Errorf("Explain and Witness.Text disagree:\n%s\nvs\n%s", got, w.Text())
+	}
+}

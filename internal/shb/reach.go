@@ -6,47 +6,26 @@ import (
 	"sync"
 )
 
-type reachKey struct {
-	seg SegID
-	idx int // index of the first usable outgoing edge
-}
-
-// reachCache is a sharded, single-flight cache of reachability frontiers.
-// Sharding keeps lock contention low when many detection workers query
-// happens-before concurrently; the per-entry sync.Once guarantees one
-// traversal populates a frontier no matter how many goroutines race to
-// the same key, and every caller then shares the immutable slice.
-type reachCache struct {
-	shards [reachShards]reachShard
-}
-
-const reachShards = 32
-
-type reachShard struct {
-	mu sync.Mutex
-	m  map[reachKey]*frontierEntry
-}
-
-type frontierEntry struct {
+// frontierSlot caches one reachability frontier. Its sync.Once makes the
+// slot single-flight: one traversal fills it no matter how many detection
+// workers reach it at once, and every caller then shares the immutable
+// slice.
+type frontierSlot struct {
 	once sync.Once
 	f    []int
 }
 
-// entry interns the cache slot for key, creating it under the shard lock.
-// The frontier itself is computed outside the lock via entry.once.
-func (c *reachCache) entry(key reachKey) *frontierEntry {
-	s := &c.shards[(uint32(key.seg)*31+uint32(key.idx))%reachShards]
-	s.mu.Lock()
-	e := s.m[key]
-	if e == nil {
-		if s.m == nil {
-			s.m = map[reachKey]*frontierEntry{}
-		}
-		e = &frontierEntry{}
-		s.m[key] = e
+// initReach makes the frontier slots once the out-lists are final:
+// segment s owns one slot per outgoing-edge suffix, reachAt[s] through
+// reachAt[s]+len(out[s]).
+func (g *Graph) initReach() {
+	g.reachAt = make([]int, len(g.out))
+	n := 0
+	for s, es := range g.out {
+		g.reachAt[s] = n
+		n += len(es) + 1
 	}
-	s.mu.Unlock()
-	return e
+	g.reach = make([]frontierSlot, n)
 }
 
 // HappensBefore reports whether node x happens before node y. Within a
@@ -79,15 +58,15 @@ func (g *Graph) happensBefore(x, y int, useCache bool) bool {
 // through the index of the first outgoing edge at or after it, which is
 // what the cache keys on. The returned slice must not be modified.
 func (g *Graph) frontier(seg SegID, pos int, useCache bool) []int {
-	edges := g.out[seg]
-	idx := sort.Search(len(edges), func(i int) bool { return edges[i].From >= pos })
 	if !useCache {
 		return g.computeFrontier(seg, pos)
 	}
-	e := g.reach.entry(reachKey{seg, idx})
+	edges := g.out[seg]
+	idx := sort.Search(len(edges), func(i int) bool { return edges[i].From >= pos })
+	slot := &g.reach[g.reachAt[seg]+idx]
 	computed := false
-	e.once.Do(func() {
-		e.f = g.computeFrontier(seg, pos)
+	slot.once.Do(func() {
+		slot.f = g.computeFrontier(seg, pos)
 		computed = true
 	})
 	// Cache accounting: the goroutine that ran the traversal records a
@@ -98,21 +77,23 @@ func (g *Graph) frontier(seg SegID, pos int, useCache bool) []int {
 	} else {
 		g.reachHits.Inc()
 	}
-	return e.f
+	return slot.f
 }
 
 // computeFrontier performs the worklist traversal. Unreachable segments
 // map to math.MaxInt. It only reads graph state that is immutable after
 // Build, so concurrent calls are safe.
 func (g *Graph) computeFrontier(seg SegID, pos int) []int {
-	f := make([]int, len(g.Segs))
-	for i := range f {
-		f[i] = math.MaxInt
-	}
 	// Work from (seg, pos): an outgoing edge (from → to) is usable when
 	// from is at or after the minimum reached position in its segment.
-	min := map[SegID]int{seg: pos}
-	f[seg] = math.MaxInt // x does not happen before earlier nodes of its own segment here
+	// f[seg] starts unreached too: x does not happen before earlier nodes
+	// of its own segment here.
+	f := make([]int, len(g.Segs))
+	min := make([]int, len(g.Segs))
+	for i := range f {
+		f[i], min[i] = math.MaxInt, math.MaxInt
+	}
+	min[seg] = pos
 	wl := []SegID{seg}
 	for len(wl) > 0 {
 		s := wl[len(wl)-1]
@@ -122,14 +103,11 @@ func (g *Graph) computeFrontier(seg SegID, pos int) []int {
 		i := sort.Search(len(es), func(i int) bool { return es[i].From >= p })
 		for ; i < len(es); i++ {
 			to := es[i].To
-			if to < 0 {
-				continue
-			}
 			ts := g.Nodes[to].Seg
 			if to < f[ts] {
 				f[ts] = to
 			}
-			if cur, ok := min[ts]; !ok || to < cur {
+			if to < min[ts] {
 				min[ts] = to
 				wl = append(wl, ts)
 			}

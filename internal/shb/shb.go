@@ -15,10 +15,10 @@
 package shb
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"o2/internal/ir"
@@ -97,15 +97,14 @@ type Graph struct {
 	Nodes    []Node
 	Segs     []*Segment
 	Locksets *lockset.Table
-	// out[seg] lists inter-origin edges leaving the segment, ordered by
-	// construction (node IDs ascending within a segment's build).
-	out map[SegID][]Edge
-	in  map[SegID][]Edge
-	a   *pta.Analysis
-	// reach caches cross-segment reachability frontiers per (segment,
-	// outgoing-edge suffix index), sharded and single-flight so concurrent
-	// detection workers share one traversal per frontier; see reach.go.
-	reach reachCache
+	// out[seg] lists the inter-origin edges leaving seg, sorted by (From,
+	// To).
+	out [][]Edge
+	// reach holds one cross-segment reachability frontier slot per
+	// (segment, outgoing-edge suffix); segment s owns the slots from
+	// reachAt[s] on. See reach.go.
+	reach   []frontierSlot
+	reachAt []int
 	// reachHits/reachMisses count frontier cache queries when observability
 	// is enabled (nil counters otherwise; Counter methods are nil-safe).
 	reachHits   *obs.Counter
@@ -122,8 +121,8 @@ type Config struct {
 	// MaxNodes bounds trace size as a safety valve for generated
 	// workloads (0 = unlimited).
 	MaxNodes int
-	// Obs receives the build span, the graph-size gauges and the
-	// reach/lockset cache counters (nil = disabled).
+	// Obs receives the build span, the graph-size gauges and the reach
+	// cache counters (nil = disabled).
 	Obs *obs.Registry
 }
 
@@ -142,19 +141,18 @@ func BuildCtx(ctx context.Context, a *pta.Analysis, cfg Config) (*Graph, error) 
 	sp := cfg.Obs.StartSpan("shb")
 	defer sp.End()
 	g := &Graph{
-		Locksets: lockset.NewTable(),
-		out:      map[SegID][]Edge{},
-		in:       map[SegID][]Edge{},
-		a:        a,
+		Locksets:    lockset.NewTable(),
+		reachHits:   cfg.Obs.Counter("shb.reach_hits"),
+		reachMisses: cfg.Obs.Counter("shb.reach_misses"),
 	}
-	g.Locksets.Bind(cfg.Obs)
-	g.reachHits = cfg.Obs.Counter("shb.reach_hits")
-	g.reachMisses = cfg.Obs.Counter("shb.reach_misses")
-	b := &builder{a: a, g: g, cfg: cfg, segIdx: map[segKey]SegID{}, ctx: ctx}
+	fns := a.CG.NumNodes()
+	b := &builder{
+		a: a, g: g, cfg: cfg, segIdx: map[segKey]SegID{}, ctx: ctx,
+		onStack: make([]bool, fns), walked: make([]int64, fns),
+	}
 	b.latch, b.stopWatch = pta.WatchCancel(ctx)
 	defer b.stopWatch()
-	main := a.MainNode()
-	b.segment(main, pta.MainOrigin)
+	b.segment(a.MainNode(), pta.MainOrigin)
 	for len(b.queue) > 0 {
 		if b.latch.Tripped() {
 			b.ctxErr = pta.CtxErr(b.ctx.Err())
@@ -167,10 +165,18 @@ func BuildCtx(ctx context.Context, a *pta.Analysis, cfg Config) (*Graph, error) 
 			break
 		}
 	}
+	g.out = make([][]Edge, len(g.Segs))
 	if b.ctxErr != nil {
 		return g, b.ctxErr
 	}
-	// Resolve pending joins now that every segment's Last is known.
+	// Resolve spawns and joins now that every segment's trace is known. A
+	// spawn into or a join of an empty trace orders nothing and gets no
+	// edge.
+	for _, ps := range b.spawns {
+		if seg := g.Segs[ps.child]; seg.Last >= seg.First {
+			g.addEdge(ps.node, seg.First)
+		}
+	}
 	for _, pj := range b.joins {
 		for _, seg := range g.Segs {
 			if seg.Origin == pj.origin && seg.Last >= seg.First {
@@ -178,22 +184,15 @@ func BuildCtx(ctx context.Context, a *pta.Analysis, cfg Config) (*Graph, error) 
 			}
 		}
 	}
-	g.connectCondVars()
-	g.connectChannels()
-	g.connectWaitGroups()
-	// Inter-origin edges were appended out of order (joins, notifies,
-	// channel and WaitGroup barriers); reachability requires each segment's
-	// out-list sorted by source node. To is the tie-breaker so the order of
-	// edges sharing a source is independent of map iteration order.
-	for segID := range g.out {
-		es := g.out[segID]
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].From != es[j].From {
-				return es[i].From < es[j].From
-			}
-			return es[i].To < es[j].To
+	b.connectSync()
+	// Reachability needs each segment's out-list sorted by source node; To
+	// breaks ties so the order does not depend on map iteration.
+	for _, es := range g.out {
+		slices.SortFunc(es, func(x, y Edge) int {
+			return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
 		})
 	}
+	g.initReach()
 	if cfg.Obs != nil {
 		edges := 0
 		for _, es := range g.out {
@@ -209,8 +208,8 @@ func BuildCtx(ctx context.Context, a *pta.Analysis, cfg Config) (*Graph, error) 
 		// locksets are (big locksets mean expensive intersections and weak
 		// lock discipline).
 		fanout := cfg.Obs.Histogram("shb.segment_fanout", obs.SizeBuckets)
-		for _, seg := range g.Segs {
-			fanout.Observe(float64(len(g.out[seg.ID])))
+		for _, es := range g.out {
+			fanout.Observe(float64(len(es)))
 		}
 		lsize := cfg.Obs.Histogram("shb.lockset_size", obs.SizeBuckets)
 		for id := 0; id < g.Locksets.Len(); id++ {
@@ -220,43 +219,21 @@ func BuildCtx(ctx context.Context, a *pta.Analysis, cfg Config) (*Graph, error) 
 	return g, nil
 }
 
-// connectCondVars adds the condition-variable happens-before edges: every
-// notify on an object precedes every wait on the same object in a
-// different segment (the static over-approximation of signal delivery).
-func (g *Graph) connectCondVars() {
-	waits := map[pta.ObjID][]int{}
-	notifies := map[pta.ObjID][]int{}
-	for id, n := range g.Nodes {
-		switch n.Kind {
-		case NWait:
-			waits[n.Obj] = append(waits[n.Obj], id)
-		case NNotify:
-			notifies[n.Obj] = append(notifies[n.Obj], id)
-		}
-	}
-	for obj, ns := range notifies {
-		for _, nn := range ns {
-			for _, wn := range waits[obj] {
-				if g.Nodes[nn].Seg != g.Nodes[wn].Seg {
-					g.addEdge(nn, wn)
-				}
-			}
-		}
-	}
-}
-
-// connectChannels adds the channel happens-before edges of Fava/Steffen's
-// semantics, statically over-approximated:
+// connectSync adds the message-passing happens-before edges between nodes
+// on one object in different segments: Fava and Steffen's rules,
+// statically over-approximated by abstracting operation indices away.
 //
-//   - every send on a channel happens-before every receive on the same
-//     channel in a different segment (send_i → recv_i collapses to
-//     send → recv once indices are abstracted away);
-//   - for unbuffered channels (cap 0) the rendezvous also orders the
-//     receive before the send's continuation (recv → send), so code before
-//     either endpoint happens-before code after the other;
-//   - every close happens-before every receive on the same channel in a
-//     different segment (receives from a closed channel observe the close,
-//     a broadcast ordering).
+//   - notify → wait: every notify precedes the resumption of every wait
+//     (the static over-approximation of signal delivery);
+//   - send → recv on a channel (send_i → recv_i once indices collapse),
+//     and for an unbuffered channel (cap 0) also recv → send: the
+//     rendezvous orders code before either endpoint before code after
+//     the other;
+//   - close → recv: receives from a closed channel observe the close, a
+//     broadcast ordering;
+//   - Done → Wait on a WaitGroup: Wait joins the happens-before of every
+//     matched Done. Add nodes bump the sync clock but carry no edges: the
+//     counter value is not tracked statically.
 //
 // The bounded-queue backpressure rule recv_{i-cap} → send_i is deliberately
 // NOT materialized for cap ≥ 1: with send/recv indices abstracted to one
@@ -264,78 +241,44 @@ func (g *Graph) connectCondVars() {
 // claiming orderings a buffered send does not provide and hiding real
 // races. The rule is kept only where the static abstraction is exact —
 // cap = 0, where i-cap = i is the rendezvous itself.
-func (g *Graph) connectChannels() {
-	sends := map[pta.ObjID][]int{}
-	recvs := map[pta.ObjID][]int{}
-	closes := map[pta.ObjID][]int{}
+func (b *builder) connectSync() {
+	g := b.g
+	// ops[obj][kind] lists the nodes of one kind on one object.
+	ops := map[pta.ObjID]*[NWgWait + 1][]int{}
 	for id, n := range g.Nodes {
 		switch n.Kind {
-		case NChanSend:
-			sends[n.Obj] = append(sends[n.Obj], id)
-		case NChanRecv:
-			recvs[n.Obj] = append(recvs[n.Obj], id)
-		case NChanClose:
-			closes[n.Obj] = append(closes[n.Obj], id)
+		case NWait, NNotify, NChanSend, NChanRecv, NChanClose, NWgDone, NWgWait:
+			o := ops[n.Obj]
+			if o == nil {
+				o = new([NWgWait + 1][]int)
+				ops[n.Obj] = o
+			}
+			o[n.Kind] = append(o[n.Kind], id)
 		}
 	}
-	for obj, ss := range sends {
-		rendezvous := g.a.Obj(obj).Cap == 0
-		for _, sn := range ss {
-			for _, rn := range recvs[obj] {
-				if g.Nodes[sn].Seg == g.Nodes[rn].Seg {
-					continue
-				}
-				g.addEdge(sn, rn)
-				if rendezvous {
-					g.addEdge(rn, sn)
+	cross := func(from, to []int, both bool) {
+		for _, f := range from {
+			for _, t := range to {
+				if g.Nodes[f].Seg != g.Nodes[t].Seg {
+					g.addEdge(f, t)
+					if both {
+						g.addEdge(t, f)
+					}
 				}
 			}
 		}
 	}
-	for obj, cs := range closes {
-		for _, cn := range cs {
-			for _, rn := range recvs[obj] {
-				if g.Nodes[cn].Seg != g.Nodes[rn].Seg {
-					g.addEdge(cn, rn)
-				}
-			}
-		}
-	}
-}
-
-// connectWaitGroups adds the barrier edges: every Done on a WaitGroup
-// object happens-before the resumption of every Wait on the same object in
-// a different segment — Wait joins the happens-before of all matched
-// Dones. Add nodes participate in the trace (they bump the sync clock) but
-// carry no edges: the counter value is not tracked statically.
-func (g *Graph) connectWaitGroups() {
-	dones := map[pta.ObjID][]int{}
-	waits := map[pta.ObjID][]int{}
-	for id, n := range g.Nodes {
-		switch n.Kind {
-		case NWgDone:
-			dones[n.Obj] = append(dones[n.Obj], id)
-		case NWgWait:
-			waits[n.Obj] = append(waits[n.Obj], id)
-		}
-	}
-	for obj, ds := range dones {
-		for _, dn := range ds {
-			for _, wn := range waits[obj] {
-				if g.Nodes[dn].Seg != g.Nodes[wn].Seg {
-					g.addEdge(dn, wn)
-				}
-			}
-		}
+	for obj, o := range ops {
+		cross(o[NNotify], o[NWait], false)
+		cross(o[NChanSend], o[NChanRecv], b.a.Obj(obj).Cap == 0)
+		cross(o[NChanClose], o[NChanRecv], false)
+		cross(o[NWgDone], o[NWgWait], false)
 	}
 }
 
 func (g *Graph) addEdge(from, to int) {
-	e := Edge{from, to}
-	fs := g.Nodes[from].Seg
-	ts := g.Nodes[to].Seg
-	g.out[fs] = append(g.out[fs], e)
-	g.in[ts] = append(g.in[ts], e)
+	s := g.Nodes[from].Seg
+	g.out[s] = append(g.out[s], Edge{from, to})
 }
 
 // OutEdges returns the inter-origin edges leaving seg.
@@ -382,13 +325,13 @@ func (g *Graph) CountByOrigin(numOrigins int) []OriginGraphCost {
 	return out
 }
 
-// MemBytes estimates the graph's arena footprint: node, edge (out + in
-// mirrors) and segment storage. It deliberately ignores map headers and
+// MemBytes estimates the graph's arena footprint: node, edge and segment
+// storage. It deliberately ignores slice headers, the frontier slots and
 // the lockset table, which are small next to the node arena.
 func (g *Graph) MemBytes() int64 {
 	bytes := int64(len(g.Nodes)) * int64(unsafe.Sizeof(Node{}))
 	for _, es := range g.out {
-		bytes += 2 * int64(len(es)) * int64(unsafe.Sizeof(Edge{}))
+		bytes += int64(len(es)) * int64(unsafe.Sizeof(Edge{}))
 	}
 	bytes += int64(len(g.Segs)) * int64(unsafe.Sizeof(Segment{}))
 	return bytes
@@ -403,6 +346,13 @@ type segKey struct {
 	origin pta.OriginID
 }
 
+// pendingSpawn is an entry node whose edge to the child segment's first
+// node is added once every segment is built.
+type pendingSpawn struct {
+	node  int
+	child SegID
+}
+
 type pendingJoin struct {
 	origin pta.OriginID
 	node   int
@@ -414,37 +364,39 @@ type builder struct {
 	cfg       Config
 	segIdx    map[segKey]SegID
 	queue     []*Segment
+	spawns    []pendingSpawn
 	joins     []pendingJoin
 	ctx       context.Context
 	latch     *pta.Latch // trips when ctx ends; nil when not cancellable
 	stopWatch func()
 	ctxErr    error
 
-	// per-segment walk state
-	cur         *Segment
-	lockStack   []lockFrame
-	lockScratch []uint32 // currentLockset's reused flatten buffer
-	onStack     map[pta.FnCtxID]bool
+	// walk state; onStack and walked are indexed by FnCtxID
+	cur       *Segment
+	lockStack []lockFrame
+	onStack   []bool
 	// walked caps trace expansion: a contexted function is replayed again
 	// only if the segment's synchronization state (spawns, joins, locks)
 	// changed since its last replay. A call mesh would otherwise expand
 	// the trace exponentially (fanout^depth); under unchanged sync state a
 	// replay emits nodes with identical happens-before and lockset
-	// signatures, which the race engine merges or dedups anyway.
-	walked    map[pta.FnCtxID]int64
+	// signatures, which the race engine merges or dedups anyway. The sync
+	// clock keeps growing across segments, so a new segment starts with
+	// nothing walked.
+	walked    []int64
 	syncClock int64
 	truncated bool
 }
 
+// lockFrame is one open lock region. locks is the canonical set of every
+// lock held inside it, its own and the enclosing frames', interned once
+// when the frame is pushed.
 type lockFrame struct {
-	objs   []uint32
 	region int32
+	locks  lockset.ID
 }
 
-// segment interns (entry, origin) and queues it for building. Spawn edges
-// into a segment not yet built target its First node, which is resolved
-// when the segment is created because segments are built strictly in FIFO
-// order after reservation.
+// segment interns (entry, origin) and queues it for building.
 func (b *builder) segment(entry pta.FnCtxID, origin pta.OriginID) SegID {
 	k := segKey{entry, origin}
 	if id, ok := b.segIdx[k]; ok {
@@ -461,42 +413,19 @@ func (b *builder) segment(entry pta.FnCtxID, origin pta.OriginID) SegID {
 func (b *builder) buildSegment(s *Segment) {
 	b.cur = s
 	b.lockStack = b.lockStack[:0]
-	b.onStack = map[pta.FnCtxID]bool{}
-	b.walked = map[pta.FnCtxID]int64{}
-	b.syncClock = 1
+	b.syncClock++
 	b.truncated = false
 	s.First = len(b.g.Nodes)
 	if b.cfg.AndroidEvents && b.a.Origins.Get(s.Origin).Kind == pta.KindEvent {
 		// The Android event loop serializes handlers: model it as a global
 		// lock held for the whole handler (§4.2).
-		b.lockStack = append(b.lockStack, lockFrame{objs: []uint32{lockset.GlobalEventLock}, region: b.newRegion()})
+		b.pushLock([]uint32{lockset.GlobalEventLock})
 	}
 	b.walk(s.Entry)
 	s.Last = len(b.g.Nodes) - 1
 	if s.Last < s.First {
-		// Empty trace: keep First at -1 so spawn edges into this segment
-		// stay unresolved rather than aliasing an unrelated node.
+		// Empty trace: keep First at -1 so no node ID aliases into it.
 		s.First, s.Last = -1, -2
-	}
-	// Resolve pending spawn edges into this segment.
-	for i, e := range b.g.in[s.ID] {
-		if e.To == -1 {
-			if s.First <= s.Last {
-				b.g.in[s.ID][i].To = s.First
-				b.fixOut(e.From, s.ID)
-			}
-		}
-	}
-}
-
-func (b *builder) fixOut(from int, target SegID) {
-	fs := b.g.Nodes[from].Seg
-	for i, e := range b.g.out[fs] {
-		if e.From == from && e.To == -1 {
-			// match by target segment via the in-list entry
-			b.g.out[fs][i].To = b.g.Segs[target].First
-			return
-		}
 	}
 }
 
@@ -505,26 +434,29 @@ func (b *builder) newRegion() int32 {
 	return b.g.Regions
 }
 
-func (b *builder) currentLockset() (lockset.ID, int32) {
-	if len(b.lockStack) == 0 {
-		return lockset.Empty, 0
+// top returns the innermost lock frame, or the zero frame (no region, the
+// empty lockset) outside every region.
+func (b *builder) top() lockFrame {
+	if n := len(b.lockStack); n > 0 {
+		return b.lockStack[n-1]
 	}
-	// Flatten into the reused scratch buffer; Canon copies what it needs,
-	// so handing it the same backing array every node is safe. This runs
-	// once per emitted node and allocated a fresh slice before.
-	objs := b.lockScratch[:0]
-	for _, f := range b.lockStack {
-		objs = append(objs, f.objs...)
-	}
-	b.lockScratch = objs[:0]
-	return b.g.Locksets.Canon(objs), b.lockStack[len(b.lockStack)-1].region
+	return lockFrame{}
+}
+
+// pushLock opens a lock region holding objs on top of the locks already
+// held and returns the region.
+func (b *builder) pushLock(objs []uint32) int32 {
+	held := b.g.Locksets.Set(b.top().locks)
+	f := lockFrame{region: b.newRegion(), locks: b.g.Locksets.Canon(append(objs, held...))}
+	b.lockStack = append(b.lockStack, f)
+	return f.region
 }
 
 // node appends n to the current segment's trace, stamping its segment,
 // lockset and region, and returns its ID.
 func (b *builder) node(n Node) int {
-	n.Seg = b.cur.ID
-	n.Locks, n.Region = b.currentLockset()
+	top := b.top()
+	n.Seg, n.Locks, n.Region = b.cur.ID, top.locks, top.region
 	id := len(b.g.Nodes)
 	// Past 256 elements append grows by about 1.25x per step, which over a
 	// build allocates several times the final arena; double instead.
@@ -559,7 +491,7 @@ func (b *builder) walk(fn pta.FnCtxID) {
 	}
 	b.onStack[fn] = true
 	b.walked[fn] = b.syncClock
-	defer delete(b.onStack, fn)
+	defer func() { b.onStack[fn] = false }()
 	fc := b.a.CG.Get(fn)
 	ctx := fc.Ctx
 	for idx, in := range fc.Fn.Body {
@@ -580,13 +512,10 @@ func (b *builder) walk(fn pta.FnCtxID) {
 		case *ir.StoreStatic:
 			b.static(NWrite, fc, in, in.Class, in.Field)
 		case *ir.MonitorEnter:
-			objs := b.a.PointsTo(in.Obj, ctx).Slice()
 			// The lock node carries the region it opens (its lockset is
 			// still the set held *before* acquiring).
-			region := b.newRegion()
 			id := b.node(Node{Kind: NLock, Instr: in, Fn: fc.Fn})
-			b.g.Nodes[id].Region = region
-			b.lockStack = append(b.lockStack, lockFrame{objs: objs, region: region})
+			b.g.Nodes[id].Region = b.pushLock(b.a.PointsTo(in.Obj, ctx).Slice())
 			b.syncClock++
 		case *ir.MonitorExit:
 			if n := len(b.lockStack); n > 0 {
@@ -599,13 +528,13 @@ func (b *builder) walk(fn pta.FnCtxID) {
 			// clock advances: a callee replayed after a send can carry new
 			// happens-before and must not dedup against its pre-send replay.
 			b.syncClock++
-			b.chanNode(NChanSend, fc, in, in.Ch)
+			b.objNodes(NChanSend, fc, in, in.Ch)
 		case *ir.ChanRecv:
 			b.syncClock++
-			b.chanNode(NChanRecv, fc, in, in.Ch)
+			b.objNodes(NChanRecv, fc, in, in.Ch)
 		case *ir.ChanClose:
 			b.syncClock++
-			b.chanNode(NChanClose, fc, in, in.Ch)
+			b.objNodes(NChanClose, fc, in, in.Ch)
 		case *ir.Call, *ir.Alloc:
 			if c, ok := in.(*ir.Call); ok && c.Recv != nil && c.Static == nil {
 				ent := b.a.Cfg.Entries
@@ -614,11 +543,11 @@ func (b *builder) walk(fn pta.FnCtxID) {
 					// Rule for condition waits: a notify on the same object
 					// happens-before the resumption modeled by this node.
 					b.syncClock++
-					b.condNode(NWait, fc, c)
+					b.objNodes(NWait, fc, c, c.Recv)
 					continue
 				case ent.IsNotify(c.Method):
 					b.syncClock++
-					b.condNode(NNotify, fc, c)
+					b.objNodes(NNotify, fc, c, c.Recv)
 					continue
 				}
 				if kind, ok := wgKind(ent, c.Method); ok && len(b.a.CG.EdgesAt(fn, idx)) == 0 {
@@ -627,7 +556,7 @@ func (b *builder) walk(fn pta.FnCtxID) {
 					// so model it as a barrier node. Classes defining real
 					// Add/Done/Wait methods dispatch normally above.
 					b.syncClock++
-					b.wgNode(kind, fc, c)
+					b.objNodes(kind, fc, c, c.Recv)
 					continue
 				}
 			}
@@ -638,16 +567,7 @@ func (b *builder) walk(fn pta.FnCtxID) {
 				case pta.EdgeSpawn:
 					b.syncClock++
 					ent := b.node(Node{Kind: NEntry, Instr: in.(ir.Instr), Fn: fc.Fn})
-					child := b.segment(e.Callee, e.Origin)
-					// Target First may be unknown yet (-1); resolved when
-					// the child segment is built.
-					first := b.g.Segs[child].First
-					b.g.out[b.cur.ID] = append(b.g.out[b.cur.ID], Edge{ent, first})
-					b.g.in[child] = append(b.g.in[child], Edge{ent, first})
-					if first >= 0 {
-						// already built: fix the out entry we just added
-						b.g.out[b.cur.ID][len(b.g.out[b.cur.ID])-1].To = first
-					}
+					b.spawns = append(b.spawns, pendingSpawn{ent, b.segment(e.Callee, e.Origin)})
 				case pta.EdgeJoin:
 					b.syncClock++
 					jn := b.node(Node{Kind: NJoin, Instr: in.(ir.Instr), Fn: fc.Fn})
@@ -656,15 +576,6 @@ func (b *builder) walk(fn pta.FnCtxID) {
 			}
 		}
 	}
-}
-
-// condNode records a wait/notify node per object the receiver may point
-// to; Build connects notify → wait afterwards.
-func (b *builder) condNode(kind NodeKind, fc pta.FnCtx, in *ir.Call) {
-	pts := b.a.PointsTo(in.Recv, fc.Ctx)
-	pts.ForEach(func(o uint32) {
-		b.node(Node{Kind: kind, Obj: pta.ObjID(o), Instr: in, Fn: fc.Fn})
-	})
 }
 
 // wgKind classifies a WaitGroup method name, if it is one.
@@ -680,21 +591,14 @@ func wgKind(ent ir.EntryConfig, method string) (NodeKind, bool) {
 	return 0, false
 }
 
-// wgNode records a WaitGroup barrier node per object the receiver may
-// point to; Build connects Done → Wait afterwards.
-func (b *builder) wgNode(kind NodeKind, fc pta.FnCtx, in *ir.Call) {
-	pts := b.a.PointsTo(in.Recv, fc.Ctx)
-	pts.ForEach(func(o uint32) {
-		b.node(Node{Kind: kind, Obj: pta.ObjID(o), Instr: in, Fn: fc.Fn})
-	})
-}
-
-// chanNode records a channel-operation node per channel object the operand
-// may point to; Build connects the channel edges afterwards.
-func (b *builder) chanNode(kind NodeKind, fc pta.FnCtx, in ir.Instr, ch *ir.Var) {
-	pts := b.a.PointsTo(ch, fc.Ctx)
-	pts.ForEach(func(o uint32) {
-		if b.a.Obj(pta.ObjID(o)).Kind != pta.ObjChan {
+// objNodes records a node of a synchronization kind per object v may
+// point to: the condition, channel or WaitGroup operand. Channel kinds
+// skip objects that are not channels. connectSync adds the edges once the
+// graph is built.
+func (b *builder) objNodes(kind NodeKind, fc pta.FnCtx, in ir.Instr, v *ir.Var) {
+	chanOp := kind == NChanSend || kind == NChanRecv || kind == NChanClose
+	b.a.PointsTo(v, fc.Ctx).ForEach(func(o uint32) {
+		if chanOp && b.a.Obj(pta.ObjID(o)).Kind != pta.ObjChan {
 			return
 		}
 		b.node(Node{Kind: kind, Obj: pta.ObjID(o), Instr: in, Fn: fc.Fn})

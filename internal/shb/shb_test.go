@@ -275,6 +275,47 @@ func TestMaxNodesTruncation(t *testing.T) {
 	}
 }
 
+// TestSpawnIntoEmptyTrace: each W thread starts an E thread whose run()
+// is empty. The entry node of such a spawn orders nothing and gets no
+// edge, and every listed edge joins two real nodes, leaving the segment
+// it is listed under.
+func TestSpawnIntoEmptyTrace(t *testing.T) {
+	_, g := build(t, `
+class S { field data; }
+class E { run() { } }
+class W {
+  field s;
+  W(s) { this.s = s; }
+  run() { e = new E(); e.start(); sh = this.s; sh.data = this; }
+}
+main { s = new S(); t1 = new W(s); t2 = new W(s); t1.start(); t2.start(); }
+`, shb.Config{})
+	from := map[int]bool{}
+	for _, s := range g.Segs {
+		for _, e := range g.OutEdges(s.ID) {
+			if e.From < 0 || e.From >= len(g.Nodes) || g.Nodes[e.From].Seg != s.ID {
+				t.Errorf("segment %d lists edge %+v, which does not leave it", s.ID, e)
+			}
+			if e.To < 0 || e.To >= len(g.Nodes) {
+				t.Errorf("segment %d lists edge %+v to no node", s.ID, e)
+			}
+			from[e.From] = true
+		}
+	}
+	entries := 0
+	for id, n := range g.Nodes {
+		if n.Kind == shb.NEntry && n.Fn.Name == "W.run" {
+			entries++
+			if from[id] {
+				t.Errorf("E's entry node %d has an out-edge", id)
+			}
+		}
+	}
+	if entries == 0 {
+		t.Fatal("setup: no entry node starts E")
+	}
+}
+
 // Property: the cached and uncached reachability agree on random node
 // pairs of a nontrivial graph.
 func TestHBCacheAgreesWithUncached(t *testing.T) {
