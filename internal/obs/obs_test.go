@@ -155,17 +155,12 @@ func TestSpanDoubleEndAndCursor(t *testing.T) {
 
 func TestDerivedRates(t *testing.T) {
 	r := New()
-	r.Counter("lockset.inter_hits").Add(30)
-	r.Counter("lockset.inter_misses").Add(10)
 	r.Counter("shb.reach_hits").Add(9)
 	r.Counter("shb.reach_misses").Add(1)
 	r.SetGauge("race.workers", 2)
 	r.SetGauge("race.worker_busy_ns", 150)
 	r.SetGauge("race.detect_wall_ns", 100)
 	rs := r.Snapshot()
-	if got := rs.Rates["lockset.inter_hit_rate"]; got != 0.75 {
-		t.Fatalf("lockset hit rate = %v, want 0.75", got)
-	}
 	if got := rs.Rates["shb.reach_hit_rate"]; got != 0.9 {
 		t.Fatalf("reach hit rate = %v, want 0.9", got)
 	}
@@ -185,8 +180,8 @@ func TestDeterministicStripsTimes(t *testing.T) {
 	r.SetGauge("race.workers", 8)
 	r.SetGauge("shb.nodes", 7)
 	r.HeapGauges("detect", HeapCounters{})
-	r.Counter("lockset.inter_hits").Add(1)
-	r.Counter("lockset.inter_misses").Add(1)
+	r.Counter("shb.reach_hits").Add(1)
+	r.Counter("shb.reach_misses").Add(1)
 	det := r.Snapshot().Deterministic()
 	if det.Phases[0].WallNS != 0 || det.Phases[0].CPUNS != 0 {
 		t.Fatalf("deterministic phases keep times: %+v", det.Phases)
@@ -209,7 +204,7 @@ func TestDeterministicStripsTimes(t *testing.T) {
 	if _, ok := det.Rates["race.worker_utilization"]; ok {
 		t.Fatal("deterministic view keeps utilization")
 	}
-	if det.Rates["lockset.inter_hit_rate"] != 0.5 {
+	if det.Rates["shb.reach_hit_rate"] != 0.5 {
 		t.Fatalf("deterministic view lost hit rate: %+v", det.Rates)
 	}
 }
@@ -222,7 +217,7 @@ func TestJSONStableRoundTrip(t *testing.T) {
 	s.End()
 	r.Counter("race.pairs_checked").Add(1)
 	r.SetGauge("shb.nodes", 2)
-	r.Counter("lockset.inter_hits").Add(1)
+	r.Counter("shb.reach_hits").Add(1)
 	data, err := r.Snapshot().MarshalIndent()
 	if err != nil {
 		t.Fatal(err)

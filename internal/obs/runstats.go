@@ -138,7 +138,6 @@ func (s *Span) stats() PhaseStats {
 // deriveRates computes the well-known derived metrics from the raw
 // counter families, where present:
 //
-//	lockset.inter_hit_rate  = lockset.inter_hits / (hits + misses)
 //	shb.reach_hit_rate      = shb.reach_hits / (hits + misses)
 //	race.worker_utilization = race.worker_busy_ns / (workers × detect wall)
 func deriveRates(counters, gauges map[string]int64) map[string]float64 {
@@ -148,9 +147,6 @@ func deriveRates(counters, gauges map[string]int64) map[string]float64 {
 			rates[name] = float64(num) / float64(den)
 		}
 	}
-	ratio("lockset.inter_hit_rate",
-		counters["lockset.inter_hits"],
-		counters["lockset.inter_hits"]+counters["lockset.inter_misses"])
 	ratio("shb.reach_hit_rate",
 		counters["shb.reach_hits"],
 		counters["shb.reach_hits"]+counters["shb.reach_misses"])
