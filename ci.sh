@@ -73,8 +73,8 @@ race() {
 # `o2 serve` on an ephemeral port, wait for /healthz via the pure-Go
 # `o2 submit` client (no curl dependency), submit a racy, a clean and a
 # malformed program asserting exit codes 1, 0 and 3 and their JSON
-# output, then stop the server with SIGTERM and require a clean
-# graceful-drain exit.
+# output, and a racy program whose threads start empty threads, then
+# stop the server with SIGTERM and require a clean graceful-drain exit.
 smoke() {
 	dir=$(mktemp -d)
 	go build -o "$dir/o2" ./cmd/o2
@@ -96,6 +96,15 @@ smoke() {
 	"$dir/o2" submit -addr "@$dir/addr" testdata/smoke_bad.mini >"$dir/bad.json" || rc=$?
 	[ "$rc" -eq 3 ] || { echo "smoke: malformed exit=$rc, want 3" >&2; exit 1; }
 	grep -q '"error_kind": "parse"' "$dir/bad.json" || { echo "smoke: malformed program is not a parse error" >&2; cat "$dir/bad.json" >&2; exit 1; }
+
+	# Threads that start threads with an empty run(): the race must come
+	# back with its witness, and the drain check below proves the server
+	# survived building it.
+	rc=0
+	"$dir/o2" submit -addr "@$dir/addr" testdata/smoke_empty_spawn.mini >"$dir/empty_spawn.json" || rc=$?
+	[ "$rc" -eq 1 ] || { echo "smoke: empty-spawn exit=$rc, want 1" >&2; cat "$dir/serve.log" >&2; exit 1; }
+	grep -q '"race_count": 1' "$dir/empty_spawn.json" || { echo "smoke: empty-spawn race count" >&2; cat "$dir/empty_spawn.json" >&2; exit 1; }
+	grep -q '"witness": {' "$dir/empty_spawn.json" || { echo "smoke: empty-spawn race has no witness" >&2; cat "$dir/empty_spawn.json" >&2; exit 1; }
 
 	# The Prometheus exposition must be non-empty and reflect the traffic
 	# above (o2 submit -metrics fails on empty/TYPE-less output itself).
