@@ -81,14 +81,14 @@ func TestCancelMidSolve(t *testing.T) {
 }
 
 // TestCancelMidDetect: canceling while the race-detection pair loop is
-// running (the longest phase on linux-x4) returns within 100ms.
+// running (the longest phase on linux-x5) returns within 100ms.
 func TestCancelMidDetect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second workload")
 	}
-	// linux-x4: solve ≈ 130ms, detect ≈ seconds. Canceling at 500ms lands
-	// firmly inside detection.
-	prog := workload.Build(workload.Scale(workload.Linux(), 4), DefaultConfig().Entries)
+	// linux-x5: pta, osa and shb ≈ 200ms, detect ≈ a second on one
+	// worker. Canceling at 500ms lands firmly inside detection.
+	prog := workload.Build(workload.Scale(workload.Linux(), 5), DefaultConfig().Entries)
 	ctx, cancel := context.WithCancel(context.Background())
 	var canceledAt time.Time
 	go func() {
@@ -120,7 +120,7 @@ func TestCancelMidDetectParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second workload")
 	}
-	prog := workload.Build(workload.Scale(workload.Linux(), 4), DefaultConfig().Entries)
+	prog := workload.Build(workload.Scale(workload.Linux(), 5), DefaultConfig().Entries)
 	cfg := DefaultConfig()
 	cfg.Workers = 4
 	ctx, cancel := context.WithCancel(context.Background())

@@ -190,11 +190,10 @@ func lockObjsAt(a *pta.Analysis, n *shb.Node) []pta.ObjID {
 	var out []pta.ObjID
 	seen := map[pta.ObjID]bool{}
 	for id := 0; id < a.CG.NumNodes(); id++ {
-		fc := a.CG.Get(pta.FnCtxID(id))
-		if fc.Fn != n.Fn {
+		if a.CG.Get(pta.FnCtxID(id)).Fn != n.Fn {
 			continue
 		}
-		a.PointsTo(me.Obj, fc.Ctx).ForEach(func(o uint32) {
+		a.PointsToIn(pta.FnCtxID(id), me.Obj).ForEach(func(o uint32) {
 			if !seen[pta.ObjID(o)] {
 				seen[pta.ObjID(o)] = true
 				out = append(out, pta.ObjID(o))

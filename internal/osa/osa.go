@@ -203,21 +203,20 @@ func (v *visitor) visit(fn pta.FnCtxID, origin pta.OriginID) {
 	}
 	v.seen[k] = true
 	v.r.Visited++
-	fc := v.a.CG.Get(fn)
-	for idx, in := range fc.Fn.Body {
+	for idx, in := range v.a.CG.Get(fn).Fn.Body {
 		switch in := in.(type) {
 		case *ir.LoadField:
-			v.access(fc, origin, in, in.Obj, in.Field, false)
+			v.access(fn, idx, origin, in, in.Obj, false)
 		case *ir.StoreField:
-			v.access(fc, origin, in, in.Obj, in.Field, true)
+			v.access(fn, idx, origin, in, in.Obj, true)
 		case *ir.LoadIndex:
-			v.access(fc, origin, in, in.Arr, ir.ArrayField, false)
+			v.access(fn, idx, origin, in, in.Arr, false)
 		case *ir.StoreIndex:
-			v.access(fc, origin, in, in.Arr, ir.ArrayField, true)
+			v.access(fn, idx, origin, in, in.Arr, true)
 		case *ir.LoadStatic:
-			v.static(origin, in, in.Class, in.Field, false)
+			v.static(fn, idx, origin, in, false)
 		case *ir.StoreStatic:
-			v.static(origin, in, in.Class, in.Field, true)
+			v.static(fn, idx, origin, in, true)
 		case *ir.Call:
 			for _, e := range v.a.CG.EdgesAt(fn, idx) {
 				switch e.Kind {
@@ -240,20 +239,19 @@ func (v *visitor) visit(fn pta.FnCtxID, origin pta.OriginID) {
 	}
 }
 
-// access records an access through base on every object it may point
-// to. An object without a field node is skipped: only an analysis that
-// stopped early lacks one.
-func (v *visitor) access(fc pta.FnCtx, origin pta.OriginID, in ir.Instr, base *ir.Var, field string, write bool) {
-	pts := v.a.PointsTo(base, fc.Ctx)
-	pts.ForEach(func(o uint32) {
-		if l, ok := v.a.FieldNode(pta.ObjID(o), field); ok {
+// access records the access at instruction idx of fn through base on
+// every object base may point to. An object without a field node is
+// skipped: only an analysis that stopped early lacks one.
+func (v *visitor) access(fn pta.FnCtxID, idx int, origin pta.OriginID, in ir.Instr, base *ir.Var, write bool) {
+	v.a.PointsToIn(fn, base).ForEach(func(o uint32) {
+		if l, ok := v.a.FieldNodeAt(fn, idx, pta.ObjID(o)); ok {
 			v.record(l, origin, write, in)
 		}
 	})
 }
 
-func (v *visitor) static(origin pta.OriginID, in ir.Instr, c *ir.Class, field string, write bool) {
-	if l, ok := v.a.StaticNode(c.Name + "." + field); ok {
+func (v *visitor) static(fn pta.FnCtxID, idx int, origin pta.OriginID, in ir.Instr, write bool) {
+	if l, ok := v.a.StaticNodeAt(fn, idx); ok {
 		v.record(l, origin, write, in)
 	}
 }

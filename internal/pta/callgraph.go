@@ -1,7 +1,9 @@
 package pta
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"o2/internal/ir"
 )
@@ -50,21 +52,26 @@ type Edge struct {
 	Origin   OriginID // valid for EdgeSpawn and EdgeJoin
 }
 
+// smallOut is the out-edge count up to which addEdge dedups by scanning
+// the caller's out-list; from it on, the caller's edges are also kept in
+// CallGraph.big. The largest preset out-list has a few hundred edges.
+const smallOut = 16
+
 // CallGraph is the on-the-fly context-sensitive call graph built by the
 // solver.
 type CallGraph struct {
 	nodes []FnCtx
 	index map[fnCtxKey]FnCtxID
-	// out maps a caller node to its outgoing edges, grouped by InstrIdx at
-	// query time.
+	// out maps a caller node to its outgoing edges: in discovery order
+	// while the solver runs, then stably sorted by InstrIdx (sortOut).
 	out [][]Edge
-	// edgeSet dedups edges.
-	edgeSet map[Edge]struct{}
-	Edges   int
+	// big dedups the edges of callers with at least smallOut of them.
+	big   map[Edge]struct{}
+	Edges int
 }
 
 func newCallGraph() *CallGraph {
-	return &CallGraph{index: map[fnCtxKey]FnCtxID{}, edgeSet: map[Edge]struct{}{}}
+	return &CallGraph{index: map[fnCtxKey]FnCtxID{}}
 }
 
 // Node interns ⟨fn, ctx⟩ and returns its ID.
@@ -92,28 +99,55 @@ func (g *CallGraph) Get(id FnCtxID) FnCtx { return g.nodes[id] }
 // NumNodes returns the number of reachable contexted functions.
 func (g *CallGraph) NumNodes() int { return len(g.nodes) }
 
-func (g *CallGraph) addEdge(e Edge) bool {
-	if _, dup := g.edgeSet[e]; dup {
-		return false
+// addEdge adds e unless the graph has it.
+func (g *CallGraph) addEdge(e Edge) {
+	out := g.out[e.Caller]
+	if len(out) < smallOut {
+		if slices.Contains(out, e) {
+			return
+		}
+	} else {
+		if _, dup := g.big[e]; dup {
+			return
+		}
+		g.big[e] = struct{}{}
 	}
-	g.edgeSet[e] = struct{}{}
-	g.out[e.Caller] = append(g.out[e.Caller], e)
+	out = append(out, e)
+	g.out[e.Caller] = out
+	if len(out) == smallOut {
+		if g.big == nil {
+			g.big = map[Edge]struct{}{}
+		}
+		for _, x := range out {
+			g.big[x] = struct{}{}
+		}
+	}
 	g.Edges++
-	return true
+}
+
+// sortOut stably sorts every out-list by InstrIdx, so the edges of one
+// instruction are contiguous and keep their discovery order. The solver
+// calls it when it stops.
+func (g *CallGraph) sortOut() {
+	for _, out := range g.out {
+		slices.SortStableFunc(out, func(x, y Edge) int { return cmp.Compare(x.InstrIdx, y.InstrIdx) })
+	}
 }
 
 // Out returns all outgoing edges of node (every instruction).
 func (g *CallGraph) Out(node FnCtxID) []Edge { return g.out[node] }
 
-// EdgesAt returns the edges leaving the instruction at index idx of node.
+// EdgesAt returns the edges leaving the instruction at index idx of node,
+// in discovery order. The result is a subslice of the call graph, valid
+// once the solver has stopped; it must not be modified.
 func (g *CallGraph) EdgesAt(node FnCtxID, idx int) []Edge {
-	var out []Edge
-	for _, e := range g.out[node] {
-		if e.InstrIdx == idx {
-			out = append(out, e)
-		}
+	out := g.out[node]
+	lo, _ := slices.BinarySearchFunc(out, idx, func(e Edge, idx int) int { return cmp.Compare(e.InstrIdx, idx) })
+	hi := lo
+	for hi < len(out) && out[hi].InstrIdx == idx {
+		hi++
 	}
-	return out
+	return out[lo:hi:hi]
 }
 
 func (g *CallGraph) String() string {

@@ -79,6 +79,17 @@ type objKey struct {
 // fieldID identifies an interned field name or static-field signature.
 type fieldID uint32
 
+// fieldRef is one of an object's field nodes.
+type fieldRef struct {
+	field fieldID
+	node  NodeID
+}
+
+// smallFields is the field-node count up to which an object's field nodes
+// are found by scanning its objFields list; from it on, they are also
+// indexed in heap.bigFields. No preset object reaches it.
+const smallFields = 16
+
 // heap interns abstract objects, field names and the field and static
 // PAG nodes. Variable nodes are indexed by call-graph node instead
 // (Analysis.fnVars); all three kinds share the NodeID space in nodes.
@@ -89,9 +100,13 @@ type heap struct {
 	handleIdx  map[objKey]ObjID
 	fieldIDs   map[string]fieldID // field name or static signature -> ID
 	fieldNames []string           // fieldID -> name
-	fldIdx     map[uint64]NodeID  // obj<<32 | fieldID -> node
-	statIdx    map[fieldID]NodeID
-	nodes      []nodeInfo // NodeID -> info
+	// objFields lists each object's field nodes in creation order, by
+	// ObjID; bigFields indexes those of objects with at least smallFields
+	// of them (fieldKey).
+	objFields [][]fieldRef
+	bigFields map[uint64]NodeID
+	statNodes []NodeID   // fieldID -> static node + 1 (0: none)
+	nodes     []nodeInfo // NodeID -> info
 }
 
 type nodeKind uint8
@@ -117,9 +132,16 @@ func newHeap() *heap {
 		funcIdx:   map[*ir.Func]ObjID{},
 		handleIdx: map[objKey]ObjID{},
 		fieldIDs:  map[string]fieldID{},
-		fldIdx:    map[uint64]NodeID{},
-		statIdx:   map[fieldID]NodeID{},
+		objFields: make([][]fieldRef, 1),
 	}
+}
+
+// newObj appends an object and returns its ID.
+func (h *heap) newObj(o ObjInfo) ObjID {
+	id := ObjID(len(h.objs))
+	h.objs = append(h.objs, o)
+	h.objFields = append(h.objFields, nil)
+	return id
 }
 
 // internObj returns the ObjID for ⟨site, ctx⟩, creating it if new. The
@@ -129,8 +151,7 @@ func (h *heap) internObj(a *ir.Alloc, ctx CtxID) (ObjID, bool) {
 	if id, ok := h.objIdx[k]; ok {
 		return id, false
 	}
-	id := ObjID(len(h.objs))
-	h.objs = append(h.objs, ObjInfo{Kind: ObjHeap, Site: a.Site, Ctx: ctx, Alloc: a, pos: a.Pos()})
+	id := h.newObj(ObjInfo{Kind: ObjHeap, Site: a.Site, Ctx: ctx, Alloc: a, pos: a.Pos()})
 	h.objIdx[k] = id
 	return id, true
 }
@@ -140,8 +161,7 @@ func (h *heap) internFuncObj(fn *ir.Func, pos ir.Pos) ObjID {
 	if id, ok := h.funcIdx[fn]; ok {
 		return id
 	}
-	id := ObjID(len(h.objs))
-	h.objs = append(h.objs, ObjInfo{Kind: ObjFunc, Site: -1, Fn: fn, pos: pos})
+	id := h.newObj(ObjInfo{Kind: ObjFunc, Site: -1, Fn: fn, pos: pos})
 	h.funcIdx[fn] = id
 	return id
 }
@@ -153,8 +173,7 @@ func (h *heap) internHandleObj(site int, ctx CtxID, entry *ir.Func, pos ir.Pos) 
 	if id, ok := h.handleIdx[k]; ok {
 		return id, false
 	}
-	id := ObjID(len(h.objs))
-	h.objs = append(h.objs, ObjInfo{Kind: ObjHandle, Site: site, Ctx: ctx, Fn: entry, pos: pos})
+	id := h.newObj(ObjInfo{Kind: ObjHandle, Site: site, Ctx: ctx, Fn: entry, pos: pos})
 	h.handleIdx[k] = id
 	return id, true
 }
@@ -167,8 +186,7 @@ func (h *heap) internChanObj(in *ir.ChanMake, ctx CtxID) (ObjID, bool) {
 	if id, ok := h.objIdx[k]; ok {
 		return id, false
 	}
-	id := ObjID(len(h.objs))
-	h.objs = append(h.objs, ObjInfo{Kind: ObjChan, Site: in.Site, Ctx: ctx, Cap: in.Cap, pos: in.Pos()})
+	id := h.newObj(ObjInfo{Kind: ObjChan, Site: in.Site, Ctx: ctx, Cap: in.Cap, pos: in.Pos()})
 	h.objIdx[k] = id
 	return id, true
 }
@@ -191,22 +209,59 @@ func (h *heap) internField(name string) fieldID {
 
 func fieldKey(obj ObjID, f fieldID) uint64 { return uint64(obj)<<32 | uint64(f) }
 
+// lookupField returns the node of ⟨obj⟩.f, if it exists.
+func (h *heap) lookupField(obj ObjID, f fieldID) (NodeID, bool) {
+	refs := h.objFields[obj]
+	if len(refs) >= smallFields {
+		id, ok := h.bigFields[fieldKey(obj, f)]
+		return id, ok
+	}
+	for _, r := range refs {
+		if r.field == f {
+			return r.node, true
+		}
+	}
+	return 0, false
+}
+
 func (h *heap) fieldNode(obj ObjID, f fieldID) NodeID {
-	k := fieldKey(obj, f)
-	if id, ok := h.fldIdx[k]; ok {
+	if id, ok := h.lookupField(obj, f); ok {
 		return id
 	}
 	id := h.newNode(nodeInfo{kind: nodeField, obj: obj, field: f})
-	h.fldIdx[k] = id
+	refs := append(h.objFields[obj], fieldRef{f, id})
+	h.objFields[obj] = refs
+	switch {
+	case len(refs) == smallFields:
+		if h.bigFields == nil {
+			h.bigFields = map[uint64]NodeID{}
+		}
+		for _, r := range refs {
+			h.bigFields[fieldKey(obj, r.field)] = r.node
+		}
+	case len(refs) > smallFields:
+		h.bigFields[fieldKey(obj, f)] = id
+	}
 	return id
 }
 
+// lookupStatic returns the node of static field f, if it exists.
+func (h *heap) lookupStatic(f fieldID) (NodeID, bool) {
+	if int(f) < len(h.statNodes) && h.statNodes[f] != 0 {
+		return h.statNodes[f] - 1, true
+	}
+	return 0, false
+}
+
 func (h *heap) staticNode(f fieldID) NodeID {
-	if id, ok := h.statIdx[f]; ok {
+	if id, ok := h.lookupStatic(f); ok {
 		return id
 	}
 	id := h.newNode(nodeInfo{kind: nodeStatic, field: f})
-	h.statIdx[f] = id
+	if n := int(f) + 1; n > len(h.statNodes) {
+		h.statNodes = append(h.statNodes, make([]NodeID, n-len(h.statNodes))...)
+	}
+	h.statNodes[f] = id + 1
 	return id
 }
 

@@ -68,12 +68,19 @@ var emptyBits Bits
 
 // PointsTo returns the points-to set of variable v under context ctx. The
 // returned set must not be modified. Returns an empty set if the node does
-// not exist.
+// not exist. A caller that holds v's call-graph node uses PointsToIn.
 func (a *Analysis) PointsTo(v *ir.Var, ctx CtxID) *Bits {
 	if fc, ok := a.CG.Lookup(v.Func, ctx); ok {
-		if vars := a.fnVars[fc]; v.ID < len(vars) && vars[v.ID] != 0 {
-			return &a.nodes[vars[v.ID]-1].pts
-		}
+		return a.PointsToIn(fc, v)
+	}
+	return &emptyBits
+}
+
+// PointsToIn returns the points-to set of variable v in call-graph node
+// fc, whose function must be v's; see PointsTo.
+func (a *Analysis) PointsToIn(fc FnCtxID, v *ir.Var) *Bits {
+	if vars := a.fnVars[fc]; v.ID < len(vars) && vars[v.ID] != 0 {
+		return &a.nodes[vars[v.ID]-1].pts
 	}
 	return &emptyBits
 }
@@ -102,8 +109,7 @@ func (a *Analysis) FieldNode(obj ObjID, field string) (NodeID, bool) {
 	if !ok {
 		return 0, false
 	}
-	id, ok := a.heap.fldIdx[fieldKey(obj, f)]
-	return id, ok
+	return a.heap.lookupField(obj, f)
 }
 
 // StaticNode returns the PAG node of static field sig ("Class.field")
@@ -113,8 +119,20 @@ func (a *Analysis) StaticNode(sig string) (NodeID, bool) {
 	if !ok {
 		return 0, false
 	}
-	id, ok := a.heap.statIdx[f]
-	return id, ok
+	return a.heap.lookupStatic(f)
+}
+
+// FieldNodeAt is FieldNode for the field, array or channel access at
+// instruction idx of fc's function: the node of ⟨obj⟩ and the field the
+// instruction accesses.
+func (a *Analysis) FieldNodeAt(fc FnCtxID, idx int, obj ObjID) (NodeID, bool) {
+	return a.heap.lookupField(obj, a.fnFields[fc][idx])
+}
+
+// StaticNodeAt is StaticNode for the static access at instruction idx of
+// fc's function.
+func (a *Analysis) StaticNodeAt(fc FnCtxID, idx int) (NodeID, bool) {
+	return a.heap.lookupStatic(a.fnFields[fc][idx])
 }
 
 // NodeField is the reverse of FieldNode and StaticNode: the object and

@@ -127,6 +127,13 @@ type Analysis struct {
 	// call-graph node is created, so a node is new exactly when its ID
 	// equals len(fnVars).
 	fnVars [][]NodeID
+	// fnFields maps FnCtxID, then instruction index, to the field the
+	// instruction accesses: the field name of a field access, ir.ArrayField,
+	// ChanElemField or a static signature. A function's contexts share
+	// one table, made by fieldsOf in markReachable; funcFields holds it
+	// by function.
+	fnFields   [][]fieldID
+	funcFields map[*ir.Func][]fieldID
 
 	fnWL []FnCtxID
 	wl   []NodeID
@@ -158,6 +165,7 @@ func New(prog *ir.Program, cfg Config) *Analysis {
 		ctxs:           newCtxTable(),
 		heap:           newHeap(),
 		edges:          map[uint64]struct{}{},
+		funcFields:     map[*ir.Func][]fieldID{},
 		hasOriginAlloc: map[*ir.Func]bool{},
 	}
 	for _, f := range prog.Funcs {
@@ -182,6 +190,7 @@ func (a *Analysis) Solve() error { return a.SolveCtx(context.Background()) }
 func (a *Analysis) SolveCtx(ctx context.Context) error {
 	sp := a.Cfg.Obs.StartSpan("pta")
 	defer func() {
+		a.CG.sortOut()
 		a.recordObs()
 		sp.End()
 	}()
@@ -304,8 +313,8 @@ func (a *Analysis) fieldNode(obj ObjID, f fieldID) NodeID {
 	return id
 }
 
-func (a *Analysis) staticNode(c *ir.Class, field string) NodeID {
-	id := a.heap.staticNode(a.heap.internField(c.Name + "." + field))
+func (a *Analysis) staticNode(f fieldID) NodeID {
+	id := a.heap.staticNode(f)
 	a.ensureNode(id)
 	return id
 }
@@ -506,14 +515,51 @@ func (a *Analysis) markReachable(fn *ir.Func, ctx CtxID) FnCtxID {
 	id := a.CG.Node(fn, ctx)
 	if int(id) == len(a.fnVars) {
 		a.fnVars = append(a.fnVars, make([]NodeID, len(fn.Locals)))
+		a.fnFields = append(a.fnFields, a.fieldsOf(fn))
 		a.fnWL = append(a.fnWL, id)
 	}
 	return id
 }
 
+// fieldsOf returns fn's field table (see Analysis.fnFields), interning
+// its fields the first time fn becomes reachable. A function without
+// field, array, static or channel accesses has a nil table.
+func (a *Analysis) fieldsOf(fn *ir.Func) []fieldID {
+	if fs, ok := a.funcFields[fn]; ok {
+		return fs
+	}
+	var fs []fieldID
+	for idx, in := range fn.Body {
+		var name string
+		switch in := in.(type) {
+		case *ir.LoadField:
+			name = in.Field
+		case *ir.StoreField:
+			name = in.Field
+		case *ir.LoadIndex, *ir.StoreIndex:
+			name = ir.ArrayField
+		case *ir.LoadStatic:
+			name = in.Class.Name + "." + in.Field
+		case *ir.StoreStatic:
+			name = in.Class.Name + "." + in.Field
+		case *ir.ChanSend, *ir.ChanRecv:
+			name = ChanElemField
+		default:
+			continue
+		}
+		if fs == nil {
+			fs = make([]fieldID, len(fn.Body))
+		}
+		fs[idx] = a.heap.internField(name)
+	}
+	a.funcFields[fn] = fs
+	return fs
+}
+
 func (a *Analysis) genConstraints(id FnCtxID) {
 	fc := a.CG.Get(id)
 	fn, ctx := fc.Fn, fc.Ctx
+	fields := a.fnFields[id]
 	for idx, in := range fn.Body {
 		if !a.budget() {
 			return
@@ -524,17 +570,17 @@ func (a *Analysis) genConstraints(id FnCtxID) {
 		case *ir.Copy:
 			a.addEdge(a.varNode(id, in.Src), a.varNode(id, in.Dst))
 		case *ir.LoadField:
-			a.genLoad(a.varNode(id, in.Obj), a.varNode(id, in.Dst), in.Field)
+			a.genLoad(a.varNode(id, in.Obj), a.varNode(id, in.Dst), fields[idx])
 		case *ir.StoreField:
-			a.genStore(a.varNode(id, in.Obj), a.varNode(id, in.Src), in.Field)
+			a.genStore(a.varNode(id, in.Obj), a.varNode(id, in.Src), fields[idx])
 		case *ir.LoadIndex:
-			a.genLoad(a.varNode(id, in.Arr), a.varNode(id, in.Dst), ir.ArrayField)
+			a.genLoad(a.varNode(id, in.Arr), a.varNode(id, in.Dst), fields[idx])
 		case *ir.StoreIndex:
-			a.genStore(a.varNode(id, in.Arr), a.varNode(id, in.Src), ir.ArrayField)
+			a.genStore(a.varNode(id, in.Arr), a.varNode(id, in.Src), fields[idx])
 		case *ir.LoadStatic:
-			a.addEdge(a.staticNode(in.Class, in.Field), a.varNode(id, in.Dst))
+			a.addEdge(a.staticNode(fields[idx]), a.varNode(id, in.Dst))
 		case *ir.StoreStatic:
-			a.addEdge(a.varNode(id, in.Src), a.staticNode(in.Class, in.Field))
+			a.addEdge(a.varNode(id, in.Src), a.staticNode(fields[idx]))
 		case *ir.FuncAddr:
 			a.addObj(a.varNode(id, in.Dst), a.heap.internFuncObj(in.Target, in.Pos()))
 		case *ir.ChanMake:
@@ -546,10 +592,10 @@ func (a *Analysis) genConstraints(id FnCtxID) {
 			// pointer sent over a channel reaches every receiver that may
 			// share the channel (Fava/Steffen's communication semantics,
 			// flow-insensitively).
-			a.genStore(a.varNode(id, in.Ch), a.varNode(id, in.Val), ChanElemField)
+			a.genStore(a.varNode(id, in.Ch), a.varNode(id, in.Val), fields[idx])
 		case *ir.ChanRecv:
 			if in.Dst != nil {
-				a.genLoad(a.varNode(id, in.Ch), a.varNode(id, in.Dst), ChanElemField)
+				a.genLoad(a.varNode(id, in.Ch), a.varNode(id, in.Dst), fields[idx])
 			}
 		case *ir.Call:
 			if in.Static != nil && in.Recv == nil {
@@ -584,20 +630,18 @@ func (a *Analysis) genConstraints(id FnCtxID) {
 	}
 }
 
-// genLoad registers dst = base.field and applies it to the objects base
+// genLoad registers dst = base.f and applies it to the objects base
 // already points to.
-func (a *Analysis) genLoad(base, dst NodeID, field string) {
-	f := a.heap.internField(field)
+func (a *Analysis) genLoad(base, dst NodeID, f fieldID) {
 	c := a.consOf(base)
 	c.loads = append(c.loads, loadC{dst, f})
 	a.constraints++
 	a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, f), dst) })
 }
 
-// genStore registers base.field = src and applies it to the objects base
+// genStore registers base.f = src and applies it to the objects base
 // already points to.
-func (a *Analysis) genStore(base, src NodeID, field string) {
-	f := a.heap.internField(field)
+func (a *Analysis) genStore(base, src NodeID, f fieldID) {
 	c := a.consOf(base)
 	c.stores = append(c.stores, storeC{src, f})
 	a.constraints++

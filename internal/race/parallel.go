@@ -115,12 +115,12 @@ func detectParallel(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp
 	// a signature per checked pair, which would hold cancellation for as
 	// long as the pairs took to check. A tripped pair budget still merges
 	// every group, so its report stays the consistent lower bound.
-	seen := map[raceSig]bool{}
+	seen := map[uint64]struct{}{}
 	for i, k := range keys {
 		if bud.canceled() {
 			break
 		}
-		mergeGroup(rep, g, k, &results[i], seen, opt.Attr, opt.Progress)
+		mergeGroup(rep, g, k, grp.group(i), &results[i], seen, opt.Attr, opt.Progress)
 	}
 	return busyNS.Load()
 }

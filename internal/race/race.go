@@ -2,7 +2,7 @@
 // hybrid happens-before + lockset analysis over the SHB graph, restricted
 // to OSA's origin-shared locations, with the paper's three sound
 // optimizations — integer-ID intra-origin happens-before, canonical
-// lockset IDs with cached intersections, and lock-region merging. Each
+// lockset IDs intersected as bitsets, and lock-region merging. Each
 // optimization can be disabled for the ablation benchmarks; disabling all
 // of them (plus the OSA filter) yields the D4-style naive baseline.
 package race
@@ -28,9 +28,9 @@ type Options struct {
 	// RegionMerge merges accesses to the same location within one lock
 	// region into a representative access (§4.1 third optimization).
 	RegionMerge bool
-	// CanonicalLocksets uses canonical lockset IDs with cached
-	// intersections; when false, locksets are intersected element-wise on
-	// every check (§4.1 second optimization).
+	// CanonicalLocksets intersects canonical lockset IDs as bitsets
+	// (lockset.Table.Intersects); when false, the sorted lock lists are
+	// intersected element-wise on every check (§4.1 second optimization).
 	CanonicalLocksets bool
 	// HBCache caches cross-origin reachability frontiers; when false every
 	// pair does a fresh graph traversal (§4.1 first optimization — the
@@ -152,7 +152,7 @@ func O2Options() Options {
 }
 
 // NaiveOptions is the D4-style baseline: pairwise checking with no
-// representative merging, no canonical lockset cache and no HB cache.
+// representative merging, no canonical locksets and no HB cache.
 func NaiveOptions() Options { return Options{} }
 
 // Access describes one side of a race.
@@ -319,7 +319,7 @@ func (rep *Report) recordObs(reg *obs.Registry, workers int, busyNS int64) {
 // materialized by mergeGroup before the next check overwrites it), so the
 // steady-state loop allocates nothing.
 func detectSequential(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp *grouped, bud *pairBudget) {
-	seen := map[raceSig]bool{}
+	seen := map[uint64]struct{}{}
 	var buf []racePair
 	tally := opt.newTally()
 	for i, k := range grp.keys {
@@ -327,17 +327,19 @@ func detectSequential(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, g
 			break
 		}
 		var gr groupResult
-		gr, buf = checkGroup(a, g, k, grp.group(i), opt, bud, buf[:0], tally)
-		mergeGroup(rep, g, k, &gr, seen, opt.Attr, opt.Progress)
+		accs := grp.group(i)
+		gr, buf = checkGroup(a, g, k, accs, opt, bud, buf[:0], tally)
+		mergeGroup(rep, g, k, accs, &gr, seen, opt.Attr, opt.Progress)
 	}
 	opt.Attr.merge(tally)
 }
 
-// racePair is a racing access pair in compact form: the two SHB node IDs.
-// The hot loop appends these (8 bytes, into a reused arena) instead of
-// materialized Race structs (~170 bytes of strings and positions each,
-// >90% of which the cross-group dedup would discard); mergeGroup expands
-// only the pairs whose signature is unseen.
+// racePair is a racing access pair in compact form: the indices of the
+// two accesses within their group. The hot loop appends these (8 bytes,
+// into a reused arena) instead of materialized Race structs (~170 bytes
+// of strings and positions each, >90% of which the cross-group dedup
+// would discard); mergeGroup expands only the pairs whose signature is
+// unseen.
 type racePair struct {
 	a, b int32
 }
@@ -355,13 +357,15 @@ type groupResult struct {
 	reps        int
 }
 
-// mergeGroup folds one group's result into the report, deduplicating
-// races by signature in encounter order and materializing a Race struct
-// only for the first pair of each signature. It runs single-threaded (the
+// mergeGroup folds the result of the group with key k and accesses accs
+// into the report, deduplicating races by signature in encounter order
+// and materializing a Race struct only for the first pair of each
+// signature. A pair's signature is the unordered pair of its accesses'
+// sig IDs, packed into seen's key. It runs single-threaded (the
 // sequential loop, or the parallel path once its pool drains) in
 // deterministic group order, so the attribution and progress race counts
 // it updates are deterministic too.
-func mergeGroup(rep *Report, g *shb.Graph, k osa.Key, gr *groupResult, seen map[raceSig]bool, attr *Attribution, prog *obs.Progress) {
+func mergeGroup(rep *Report, g *shb.Graph, k osa.Key, accs []acc, gr *groupResult, seen map[uint64]struct{}, attr *Attribution, prog *obs.Progress) {
 	rep.Representatives += gr.reps
 	rep.PairsChecked += gr.pairs
 	rep.HBQueries += gr.hbq
@@ -370,14 +374,21 @@ func mergeGroup(rep *Report, g *shb.Graph, k osa.Key, gr *groupResult, seen map[
 	rep.SkippedSameSeg += gr.skipSameSeg
 	newRaces := int64(0)
 	for _, p := range gr.rp {
-		sig := sigOfNodes(g, k, int(p.a), int(p.b))
-		if !seen[sig] {
-			seen[sig] = true
-			rep.Races = append(rep.Races, Race{Key: k, A: accessNode(g, int(p.a)), B: accessNode(g, int(p.b))})
-			newRaces++
-			if attr != nil {
-				tallyPair(attr.Races, g, int(p.a), int(p.b))
-			}
+		x, y := &accs[p.a], &accs[p.b]
+		lo, hi := x.sig, y.sig
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		// One map operation per pair: the insert grows the map exactly
+		// when the signature is new.
+		before := len(seen)
+		if seen[uint64(lo)<<32|uint64(hi)] = struct{}{}; len(seen) == before {
+			continue
+		}
+		rep.Races = append(rep.Races, Race{Key: k, A: access(g, *x), B: access(g, *y)})
+		newRaces++
+		if attr != nil {
+			tallyPair(attr.Races, g, x.node, y.node)
 		}
 	}
 	if newRaces > 0 {
@@ -466,7 +477,7 @@ func checkGroup(a *pta.Analysis, g *shb.Graph, k osa.Key, accs []acc, opt Option
 					continue
 				}
 			}
-			buf = append(buf, racePair{int32(x.node), int32(y.node)})
+			buf = append(buf, racePair{int32(i), int32(j)})
 		}
 	}
 	flushProgress(opt.Progress, tick, flushed)
@@ -481,20 +492,20 @@ func flushProgress(p *obs.Progress, tick, flushed int) {
 	}
 }
 
+// acc is one candidate access: its SHB node, whether it writes, and its
+// sig, an ID for the pair (field name, source position) that collect
+// interns. Equal sigs mean equal field and position.
 type acc struct {
 	node  int
+	sig   int32
 	write bool
 }
 
-// mergeKey identifies a lock-region representative within one candidate
-// group, by the group's dense index, so the dedup is one flat map over
-// integers.
-type mergeKey struct {
-	grp    int32
-	seg    shb.SegID
-	write  bool
-	locks  lockset.ID
-	region int32
+// sigKey is the interned identity behind acc.sig: the group's field, as
+// an index into collect's field names, and the access's position.
+type sigKey struct {
+	field int32
+	pos   ir.Pos
 }
 
 // grouped is the candidate groups in a flat arena: group i's accesses are
@@ -529,15 +540,18 @@ const (
 // group.
 func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, rep *Report, bud *pairBudget) *grouped {
 	fate := make([]int32, a.NumNodes())
-	var keys []osa.Key // dense group index → location key
+	var keys []osa.Key   // dense group index → location key
+	var grpField []int32 // dense group index → field index
+	fields := map[string]int32{}
+	sigs := map[sigKey]int32{}
 	type tmpAcc struct {
 		grp int32
 		a   acc
 	}
 	var tmp []tmpAcc
-	var merged map[mergeKey]bool
+	var merged map[uint64]struct{}
 	if opt.RegionMerge {
-		merged = map[mergeKey]bool{}
+		merged = map[uint64]struct{}{}
 	}
 	for id := range g.Nodes {
 		if id&(cancelStride-1) == 0 && bud.canceled() {
@@ -561,6 +575,16 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 			default:
 				keys = append(keys, k)
 				f = int32(len(keys))
+				name := k.Field
+				if k.Static != "" {
+					name = k.Static
+				}
+				fi, ok := fields[name]
+				if !ok {
+					fi = int32(len(fields))
+					fields[name] = fi
+				}
+				grpField = append(grpField, fi)
 			}
 			fate[n.Loc] = f
 		}
@@ -576,14 +600,26 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 		gi := f - 1
 		w := n.Kind == shb.NWrite
 		if opt.RegionMerge && n.Region != 0 {
-			mk := mergeKey{gi, n.Seg, w, n.Locks, n.Region}
-			if merged[mk] {
+			// A region instance lies in one segment under one lockset, so
+			// the group, the region and the write flag identify its
+			// representative.
+			mk := uint64(gi)<<32 | uint64(n.Region)<<1
+			if w {
+				mk |= 1
+			}
+			before := len(merged)
+			if merged[mk] = struct{}{}; len(merged) == before {
 				rep.MergedRegion++
 				continue // merged into the region's representative access
 			}
-			merged[mk] = true
 		}
-		tmp = append(tmp, tmpAcc{gi, acc{id, w}})
+		sk := sigKey{grpField[gi], n.Instr.Pos()}
+		sig, ok := sigs[sk]
+		if !ok {
+			sig = int32(len(sigs))
+			sigs[sk] = sig
+		}
+		tmp = append(tmp, tmpAcc{gi, acc{id, sig, w}})
 	}
 
 	// Sort groups by key and scatter the accesses into the arena.
@@ -652,26 +688,6 @@ func access(g *shb.Graph, x acc) Access {
 		Pos:    n.Instr.Pos(),
 		Fn:     n.Fn.Name,
 	}
-}
-
-// accessNode materializes an Access from a bare node ID; the write flag is
-// recomputed from the node kind, which is exactly how collect derived it.
-func accessNode(g *shb.Graph, node int) Access {
-	return access(g, acc{node, g.Nodes[node].Kind == shb.NWrite})
-}
-
-// sigOfNodes is sigOf computed directly from a compact pair, without
-// materializing the Race.
-func sigOfNodes(g *shb.Graph, k osa.Key, a, b int) raceSig {
-	field := k.Field
-	if k.Static != "" {
-		field = k.Static
-	}
-	pa, pb := g.Nodes[a].Instr.Pos(), g.Nodes[b].Instr.Pos()
-	if posLess(pb, pa) {
-		pa, pb = pb, pa
-	}
-	return raceSig{field, pa, pb}
 }
 
 type raceSig struct {

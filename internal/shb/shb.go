@@ -492,49 +492,48 @@ func (b *builder) walk(fn pta.FnCtxID) {
 	b.onStack[fn] = true
 	b.walked[fn] = b.syncClock
 	defer func() { b.onStack[fn] = false }()
-	fc := b.a.CG.Get(fn)
-	ctx := fc.Ctx
-	for idx, in := range fc.Fn.Body {
+	f := b.a.CG.Get(fn).Fn
+	for idx, in := range f.Body {
 		if b.full() {
 			return
 		}
 		switch in := in.(type) {
 		case *ir.LoadField:
-			b.accesses(NRead, fc, in, in.Obj, in.Field)
+			b.accesses(NRead, fn, idx, in, in.Obj)
 		case *ir.StoreField:
-			b.accesses(NWrite, fc, in, in.Obj, in.Field)
+			b.accesses(NWrite, fn, idx, in, in.Obj)
 		case *ir.LoadIndex:
-			b.accesses(NRead, fc, in, in.Arr, ir.ArrayField)
+			b.accesses(NRead, fn, idx, in, in.Arr)
 		case *ir.StoreIndex:
-			b.accesses(NWrite, fc, in, in.Arr, ir.ArrayField)
+			b.accesses(NWrite, fn, idx, in, in.Arr)
 		case *ir.LoadStatic:
-			b.static(NRead, fc, in, in.Class, in.Field)
+			b.static(NRead, fn, idx, in)
 		case *ir.StoreStatic:
-			b.static(NWrite, fc, in, in.Class, in.Field)
+			b.static(NWrite, fn, idx, in)
 		case *ir.MonitorEnter:
 			// The lock node carries the region it opens (its lockset is
 			// still the set held *before* acquiring).
-			id := b.node(Node{Kind: NLock, Instr: in, Fn: fc.Fn})
-			b.g.Nodes[id].Region = b.pushLock(b.a.PointsTo(in.Obj, ctx).Slice())
+			id := b.node(Node{Kind: NLock, Instr: in, Fn: f})
+			b.g.Nodes[id].Region = b.pushLock(b.a.PointsToIn(fn, in.Obj).Slice())
 			b.syncClock++
 		case *ir.MonitorExit:
 			if n := len(b.lockStack); n > 0 {
 				b.lockStack = b.lockStack[:n-1]
 			}
-			b.node(Node{Kind: NUnlock, Instr: in, Fn: fc.Fn})
+			b.node(Node{Kind: NUnlock, Instr: in, Fn: f})
 			b.syncClock++
 		case *ir.ChanSend:
 			// Channel operations create inter-origin edges, so the sync
 			// clock advances: a callee replayed after a send can carry new
 			// happens-before and must not dedup against its pre-send replay.
 			b.syncClock++
-			b.objNodes(NChanSend, fc, in, in.Ch)
+			b.objNodes(NChanSend, fn, in, in.Ch)
 		case *ir.ChanRecv:
 			b.syncClock++
-			b.objNodes(NChanRecv, fc, in, in.Ch)
+			b.objNodes(NChanRecv, fn, in, in.Ch)
 		case *ir.ChanClose:
 			b.syncClock++
-			b.objNodes(NChanClose, fc, in, in.Ch)
+			b.objNodes(NChanClose, fn, in, in.Ch)
 		case *ir.Call, *ir.Alloc:
 			if c, ok := in.(*ir.Call); ok && c.Recv != nil && c.Static == nil {
 				ent := b.a.Cfg.Entries
@@ -543,11 +542,11 @@ func (b *builder) walk(fn pta.FnCtxID) {
 					// Rule for condition waits: a notify on the same object
 					// happens-before the resumption modeled by this node.
 					b.syncClock++
-					b.objNodes(NWait, fc, c, c.Recv)
+					b.objNodes(NWait, fn, c, c.Recv)
 					continue
 				case ent.IsNotify(c.Method):
 					b.syncClock++
-					b.objNodes(NNotify, fc, c, c.Recv)
+					b.objNodes(NNotify, fn, c, c.Recv)
 					continue
 				}
 				if kind, ok := wgKind(ent, c.Method); ok && len(b.a.CG.EdgesAt(fn, idx)) == 0 {
@@ -556,7 +555,7 @@ func (b *builder) walk(fn pta.FnCtxID) {
 					// so model it as a barrier node. Classes defining real
 					// Add/Done/Wait methods dispatch normally above.
 					b.syncClock++
-					b.objNodes(kind, fc, c, c.Recv)
+					b.objNodes(kind, fn, c, c.Recv)
 					continue
 				}
 			}
@@ -566,11 +565,11 @@ func (b *builder) walk(fn pta.FnCtxID) {
 					b.walk(e.Callee)
 				case pta.EdgeSpawn:
 					b.syncClock++
-					ent := b.node(Node{Kind: NEntry, Instr: in.(ir.Instr), Fn: fc.Fn})
+					ent := b.node(Node{Kind: NEntry, Instr: in.(ir.Instr), Fn: f})
 					b.spawns = append(b.spawns, pendingSpawn{ent, b.segment(e.Callee, e.Origin)})
 				case pta.EdgeJoin:
 					b.syncClock++
-					jn := b.node(Node{Kind: NJoin, Instr: in.(ir.Instr), Fn: fc.Fn})
+					jn := b.node(Node{Kind: NJoin, Instr: in.(ir.Instr), Fn: f})
 					b.joins = append(b.joins, pendingJoin{e.Origin, jn})
 				}
 			}
@@ -592,35 +591,36 @@ func wgKind(ent ir.EntryConfig, method string) (NodeKind, bool) {
 }
 
 // objNodes records a node of a synchronization kind per object v may
-// point to: the condition, channel or WaitGroup operand. Channel kinds
-// skip objects that are not channels. connectSync adds the edges once the
-// graph is built.
-func (b *builder) objNodes(kind NodeKind, fc pta.FnCtx, in ir.Instr, v *ir.Var) {
+// point to in fn: the condition, channel or WaitGroup operand. Channel
+// kinds skip objects that are not channels. connectSync adds the edges
+// once the graph is built.
+func (b *builder) objNodes(kind NodeKind, fn pta.FnCtxID, in ir.Instr, v *ir.Var) {
 	chanOp := kind == NChanSend || kind == NChanRecv || kind == NChanClose
-	b.a.PointsTo(v, fc.Ctx).ForEach(func(o uint32) {
+	f := b.a.CG.Get(fn).Fn
+	b.a.PointsToIn(fn, v).ForEach(func(o uint32) {
 		if chanOp && b.a.Obj(pta.ObjID(o)).Kind != pta.ObjChan {
 			return
 		}
-		b.node(Node{Kind: kind, Obj: pta.ObjID(o), Instr: in, Fn: fc.Fn})
+		b.node(Node{Kind: kind, Obj: pta.ObjID(o), Instr: in, Fn: f})
 	})
 }
 
-// accesses records an access node per object the base may point to. An
-// object without a field node is skipped: only an analysis that stopped
-// early lacks one.
-func (b *builder) accesses(kind NodeKind, fc pta.FnCtx, in ir.Instr, basev *ir.Var, field string) {
-	pts := b.a.PointsTo(basev, fc.Ctx)
-	pts.ForEach(func(o uint32) {
-		if l, ok := b.a.FieldNode(pta.ObjID(o), field); ok {
-			b.node(Node{Kind: kind, Loc: l, Instr: in, Fn: fc.Fn})
+// accesses records an access node for the access at instruction idx of
+// fn per object the base may point to. An object without a field node is
+// skipped: only an analysis that stopped early lacks one.
+func (b *builder) accesses(kind NodeKind, fn pta.FnCtxID, idx int, in ir.Instr, base *ir.Var) {
+	f := b.a.CG.Get(fn).Fn
+	b.a.PointsToIn(fn, base).ForEach(func(o uint32) {
+		if l, ok := b.a.FieldNodeAt(fn, idx, pta.ObjID(o)); ok {
+			b.node(Node{Kind: kind, Loc: l, Instr: in, Fn: f})
 		}
 	})
 }
 
 // static records an access node on a static field, skipped like a field
 // access when the field has no node.
-func (b *builder) static(kind NodeKind, fc pta.FnCtx, in ir.Instr, c *ir.Class, field string) {
-	if l, ok := b.a.StaticNode(c.Name + "." + field); ok {
-		b.node(Node{Kind: kind, Loc: l, Instr: in, Fn: fc.Fn})
+func (b *builder) static(kind NodeKind, fn pta.FnCtxID, idx int, in ir.Instr) {
+	if l, ok := b.a.StaticNodeAt(fn, idx); ok {
+		b.node(Node{Kind: kind, Loc: l, Instr: in, Fn: b.a.CG.Get(fn).Fn})
 	}
 }

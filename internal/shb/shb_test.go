@@ -10,6 +10,7 @@ import (
 	"o2/internal/osa"
 	"o2/internal/pta"
 	"o2/internal/shb"
+	"o2/internal/workload"
 )
 
 // field names the field an access node touches.
@@ -422,5 +423,43 @@ main {
 	}
 	if g.HappensBefore(waitNode, notifyNode) {
 		t.Errorf("wait must not happen before notify")
+	}
+}
+
+// Detection merges the accesses of one lock-region instance into one
+// representative, keyed by the region alone: every read and write node
+// of a region instance must then lie in one segment under one lockset.
+// Lock nodes are left out, since an NLock node carries the region it
+// opens but the lockset held before it.
+func TestRegionAccessesShareSegmentAndLockset(t *testing.T) {
+	entries := ir.DefaultEntryConfig()
+	for _, name := range []string{"avrora", "zookeeper", "memcached"} {
+		p, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("no preset %s", name)
+		}
+		a := pta.New(workload.Build(p, entries), pta.Config{Policy: pta.Policy{Kind: pta.KOrigin, K: 1}, Entries: entries})
+		if err := a.Solve(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		g := shb.Build(a, shb.Config{})
+		first := map[int32]int{} // region → first access node in it
+		for id, n := range g.Nodes {
+			if (n.Kind != shb.NRead && n.Kind != shb.NWrite) || n.Region == 0 {
+				continue
+			}
+			f, ok := first[n.Region]
+			if !ok {
+				first[n.Region] = id
+				continue
+			}
+			if m := g.Nodes[f]; m.Seg != n.Seg || m.Locks != n.Locks {
+				t.Errorf("%s: region %d: node %d in segment %d under lockset %d, node %d in segment %d under lockset %d",
+					name, n.Region, f, m.Seg, m.Locks, id, n.Seg, n.Locks)
+			}
+		}
+		if len(first) == 0 {
+			t.Errorf("%s: no access inside a lock region", name)
+		}
 	}
 }
