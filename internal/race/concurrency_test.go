@@ -9,8 +9,9 @@ import (
 
 // TestParallelDetectHighWorkerCounts runs detection on a large generated
 // workload with worker counts well above GOMAXPROCS. Run under
-// `go test -race` this exercises the sharded SHB reachability cache, the
-// lockset intersection cache and the shared pair-budget atomics.
+// `go test -race` this exercises the SHB reachability frontier slots,
+// which workers fill lazily, the lockset table and the shared pair-budget
+// atomics.
 func TestParallelDetectHighWorkerCounts(t *testing.T) {
 	a, sh, g := solvePreset(t, "zookeeper")
 	seqOpts := race.O2Options()
@@ -27,8 +28,8 @@ func TestParallelDetectHighWorkerCounts(t *testing.T) {
 // TestConcurrentDetectSharedInputs stress-tests cache reuse: several
 // goroutines run Detect concurrently on the same solved analysis and SHB
 // graph, each itself parallel, and must all produce the sequential report.
-// The reachability and lockset caches are shared mutable state between
-// the calls, so this proves they are safe for reuse.
+// The reachability frontier slots are shared mutable state between the
+// calls, so this proves they are safe for reuse.
 func TestConcurrentDetectSharedInputs(t *testing.T) {
 	a, sh, g := solvePreset(t, "hdfs")
 	seqOpts := race.O2Options()
