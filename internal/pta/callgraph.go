@@ -138,12 +138,20 @@ func (g *CallGraph) sortOut() {
 func (g *CallGraph) Out(node FnCtxID) []Edge { return g.out[node] }
 
 // EdgesAt returns the edges leaving the instruction at index idx of node,
-// in discovery order. The result is a subslice of the call graph, valid
-// once the solver has stopped; it must not be modified.
+// in discovery order: a binary search for the first, then a scan. The
+// result is a subslice of the call graph, valid once the solver has
+// stopped; it must not be modified.
 func (g *CallGraph) EdgesAt(node FnCtxID, idx int) []Edge {
 	out := g.out[node]
-	lo, _ := slices.BinarySearchFunc(out, idx, func(e Edge, idx int) int { return cmp.Compare(e.InstrIdx, idx) })
-	hi := lo
+	lo, hi := 0, len(out)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); out[m].InstrIdx < idx {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	hi = lo
 	for hi < len(out) && out[hi].InstrIdx == idx {
 		hi++
 	}
