@@ -106,7 +106,7 @@ func (a *Analysis) StaticPointsTo(sig string) *Bits {
 // that stopped early (step budget, cancellation) may lack it.
 func (a *Analysis) FieldNode(obj ObjID, field string) (NodeID, bool) {
 	f, ok := a.heap.fieldIDs[field]
-	if !ok {
+	if !ok || int(obj) >= len(a.heap.objFields) {
 		return 0, false
 	}
 	return a.heap.lookupField(obj, f)

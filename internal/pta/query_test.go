@@ -151,6 +151,9 @@ main {
 	if a.StaticPointsTo("G.unknown").Len() != 0 {
 		t.Errorf("unknown static should have empty pts")
 	}
+	if a.FieldPointsTo(pta.ObjID(a.NumObjs()+1), "child").Len() != 0 {
+		t.Errorf("an object the analysis never made should have empty field pts")
+	}
 	count := 0
 	a.ForEachFieldNode(func(obj pta.ObjID, field string, pts *pta.Bits) { count++ })
 	if count == 0 {
