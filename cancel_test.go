@@ -9,6 +9,7 @@ import (
 
 	"o2/internal/cases"
 	"o2/internal/lang"
+	"o2/internal/obs"
 	"o2/internal/workload"
 )
 
@@ -80,38 +81,61 @@ func TestCancelMidSolve(t *testing.T) {
 	}
 }
 
+// cancelMidDetect runs cfg over linux-x5 and cancels once detection has
+// examined its first pairs, as a progress stream shows them. It requires
+// ErrCanceled within 100ms of the cancel, and that detection had pairs
+// left when it was canceled, so the test holds on any host speed.
+func cancelMidDetect(t *testing.T, cfg Config) {
+	prog := workload.Build(workload.Scale(workload.Linux(), 5), cfg.Entries)
+	cfg.Progress = obs.NewProgress()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		at         obs.ProgressSnapshot
+		canceledAt time.Time
+	)
+	done, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		tick := time.NewTicker(100 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+			}
+			if s := cfg.Progress.Snapshot(); s.Phase == "detect" && s.PairsDone > 0 {
+				at, canceledAt = s, time.Now()
+				cancel()
+				return
+			}
+		}
+	}()
+	_, err := Analyze(ctx, prog, cfg)
+	end := time.Now()
+	close(done)
+	<-polled
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v (progress at cancel: %+v)", err, at)
+	}
+	if at.PairsDone >= at.PairsTotal {
+		t.Fatalf("canceled after detection examined all %d pairs; the test proved nothing about mid-detect cancellation", at.PairsTotal)
+	}
+	if lat := end.Sub(canceledAt); lat > 100*time.Millisecond {
+		t.Fatalf("cancellation latency %v exceeds 100ms", lat)
+	} else {
+		t.Logf("canceled at %d of %d pairs; latency %v", at.PairsDone, at.PairsTotal, lat)
+	}
+}
+
 // TestCancelMidDetect: canceling while the race-detection pair loop is
 // running (the longest phase on linux-x5) returns within 100ms.
 func TestCancelMidDetect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second workload")
 	}
-	// linux-x5: pta, osa and shb ≈ 200ms, detect ≈ a second on one
-	// worker. Canceling at 500ms lands firmly inside detection.
-	prog := workload.Build(workload.Scale(workload.Linux(), 5), DefaultConfig().Entries)
-	ctx, cancel := context.WithCancel(context.Background())
-	var canceledAt time.Time
-	go func() {
-		time.Sleep(500 * time.Millisecond)
-		canceledAt = time.Now()
-		cancel()
-	}()
-	start := time.Now()
-	_, err := Analyze(ctx, prog, DefaultConfig())
-	end := time.Now()
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v (after %v)", err, end.Sub(start))
-	}
-	if end.Sub(start) < 400*time.Millisecond {
-		// The workload finished before the cancel fired — the test proved
-		// nothing about mid-detect cancellation.
-		t.Fatalf("workload too fast (%v); scale it up", end.Sub(start))
-	}
-	if lat := end.Sub(canceledAt); lat > 100*time.Millisecond {
-		t.Fatalf("cancellation latency %v exceeds 100ms", lat)
-	} else {
-		t.Logf("cancellation latency %v", lat)
-	}
+	cancelMidDetect(t, DefaultConfig())
 }
 
 // TestCancelMidDetectParallel: same as above with a worker pool, proving
@@ -120,28 +144,9 @@ func TestCancelMidDetectParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second workload")
 	}
-	prog := workload.Build(workload.Scale(workload.Linux(), 5), DefaultConfig().Entries)
 	cfg := DefaultConfig()
 	cfg.Workers = 4
-	ctx, cancel := context.WithCancel(context.Background())
-	var canceledAt time.Time
-	go func() {
-		time.Sleep(500 * time.Millisecond)
-		canceledAt = time.Now()
-		cancel()
-	}()
-	start := time.Now()
-	_, err := Analyze(ctx, prog, cfg)
-	end := time.Now()
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v (after %v)", err, end.Sub(start))
-	}
-	if end.Sub(start) < 400*time.Millisecond {
-		t.Fatalf("workload too fast (%v); scale it up", end.Sub(start))
-	}
-	if lat := end.Sub(canceledAt); lat > 100*time.Millisecond {
-		t.Fatalf("cancellation latency %v exceeds 100ms", lat)
-	}
+	cancelMidDetect(t, cfg)
 }
 
 // TestAnalyzeSourceCtxCancel: the source-level entry point honors the

@@ -83,6 +83,21 @@ smoke() {
 	trap 'kill "$pid" 2>/dev/null || true; rm -rf "$dir"' EXIT
 	"$dir/o2" submit -addr "@$dir/addr" -retry 10 -healthz
 
+	# A program nested 2.5M blocks deep (27.5 MB, generated here rather than
+	# checked in) once overflowed the parser's stack, which ends the whole
+	# server. It must come back as a parse error; the submissions, the
+	# /metrics scrape and the drain check below prove the server lived.
+	python3 -c "
+import sys
+n = 2500000
+sys.stdout.write('main {\n' + 'if (x) {\n' * n + '}\n' * (n + 1))
+" >"$dir/deep.mini"
+	rc=0
+	"$dir/o2" submit -addr "@$dir/addr" "$dir/deep.mini" >"$dir/deep.json" || rc=$?
+	[ "$rc" -eq 3 ] || { echo "smoke: deep nesting exit=$rc, want 3" >&2; cat "$dir/serve.log" >&2; exit 1; }
+	grep -q '"error_kind": "parse"' "$dir/deep.json" || { echo "smoke: deep nesting is not a parse error" >&2; head -c 2000 "$dir/deep.json" >&2; exit 1; }
+	rm "$dir/deep.mini"
+
 	rc=0
 	"$dir/o2" submit -addr "@$dir/addr" testdata/smoke_racy.mini >"$dir/racy.json" || rc=$?
 	[ "$rc" -eq 1 ] || { echo "smoke: racy exit=$rc, want 1" >&2; exit 1; }

@@ -483,7 +483,6 @@ func Linux(w io.Writer, o Opts) *report.Table {
 			events++
 		}
 	}
-	accesses := len(sh.Accesses)
 	t := &report.Table{
 		Title: "Linux kernel model (§5.4)",
 		Cols:  []string{"Metric", "Value"},
@@ -495,7 +494,7 @@ func Linux(w io.Writer, o Opts) *report.Table {
 	t.Add("abstract objects", a.NumObjs())
 	t.Add("origin-shared locations", len(sh.Shared))
 	t.Add("origin-shared objects", sh.SharedObjects)
-	t.Add("access statements visited", accesses)
+	t.Add("access statements visited", sh.Accesses)
 	t.Add("shared access statements", sh.SharedAccesses)
 	t.Add("races reported", len(rep.Races))
 	t.Add("analysis time", elapsed)

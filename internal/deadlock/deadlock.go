@@ -74,7 +74,7 @@ func Analyze(a *pta.Analysis, g *shb.Graph) *Report {
 			n := &g.Nodes[id]
 			switch n.Kind {
 			case shb.NLock:
-				objs := lockObjsAt(a, n)
+				objs := lockObjsAt(a, g, id)
 				for _, inner := range objs {
 					for _, outer := range held {
 						if outer == inner {
@@ -83,7 +83,7 @@ func Analyze(a *pta.Analysis, g *shb.Graph) *Report {
 						k := edgeKey{outer, inner}
 						edges[k] = append(edges[k], Acquire{
 							Outer: outer, Inner: inner,
-							Origin: seg.Origin, Pos: n.Instr.Pos(), Fn: n.Fn.Name,
+							Origin: seg.Origin, Pos: g.Instr(id).Pos(), Fn: g.Func(id).Name,
 						})
 					}
 				}
@@ -178,19 +178,19 @@ func makeWarning(a *pta.Analysis, g *shb.Graph, cyc []pta.ObjID,
 	return Warning{Cycle: cyc, Sites: sites}, true
 }
 
-func lockObjsAt(a *pta.Analysis, n *shb.Node) []pta.ObjID {
-	me, ok := n.Instr.(*ir.MonitorEnter)
+func lockObjsAt(a *pta.Analysis, g *shb.Graph, node int) []pta.ObjID {
+	me, ok := g.Instr(node).(*ir.MonitorEnter)
 	if !ok {
 		return nil
 	}
-	// The SHB node does not record its analysis context, so union the
-	// monitor variable's points-to sets across every context the enclosing
-	// function is reachable in — a sound over-approximation of the locks
-	// this acquisition may take.
+	// Union the monitor variable's points-to sets across every context
+	// the enclosing function is reachable in, not only the node's own — a
+	// sound over-approximation of the locks this acquisition may take.
+	fn := g.Func(node)
 	var out []pta.ObjID
 	seen := map[pta.ObjID]bool{}
 	for id := 0; id < a.CG.NumNodes(); id++ {
-		if a.CG.Get(pta.FnCtxID(id)).Fn != n.Fn {
+		if a.CG.Get(pta.FnCtxID(id)).Fn != fn {
 			continue
 		}
 		a.PointsToIn(pta.FnCtxID(id), me.Obj).ForEach(func(o uint32) {

@@ -542,3 +542,31 @@ func newRand(seed uint64) func() int {
 		return int(s % (1 << 31))
 	}
 }
+
+// nested returns a main whose innermost statement sits depth blocks
+// deep: main's body, then depth-1 nested ifs.
+func nested(depth int) string {
+	return "main {\n" + strings.Repeat("if (x) {\n", depth-1) + "x = null;\n" + strings.Repeat("}\n", depth)
+}
+
+// elseIfs returns a main holding an if with n else-ifs.
+func elseIfs(n int) string {
+	return "main {\nif (x) { }" + strings.Repeat(" else if (x) { }", n) + "\n}\n"
+}
+
+// Blocks nest up to maxDepth; one level more is a positioned parse
+// error, not a fatal stack overflow. An else-if nests one level deeper
+// than its if.
+func TestBlockDepthCap(t *testing.T) {
+	for _, src := range []string{nested(maxDepth), elseIfs(maxDepth - 2)} {
+		if _, err := Compile("deep.mini", src, ir.DefaultEntryConfig()); err != nil {
+			t.Fatalf("nesting at the cap: %v", err)
+		}
+	}
+	for _, src := range []string{nested(maxDepth + 1), elseIfs(maxDepth - 1)} {
+		_, err := Parse("deep.mini", src)
+		if err == nil || !strings.HasPrefix(err.Error(), "deep.mini:") || !strings.Contains(err.Error(), "nested more than 1000 deep") {
+			t.Fatalf("nesting one level over the cap: got %v", err)
+		}
+	}
+}

@@ -61,7 +61,17 @@ type parser struct {
 	// stmts stacks the statements of the blocks being parsed, innermost
 	// last; each block copies its own out at their exact number.
 	stmts []Stmt
+	depth int // blocks open, counting each else-if as one
 }
+
+// maxDepth caps block nesting. A function body is at depth 1, each block
+// inside it one deeper, and an else-if one deeper than its if, whose
+// Else holds it. Parsing, lowering, printing and unit extraction recurse
+// once per level, and a goroutine stack overflow cannot be recovered, so
+// deeper input is a parse error. The cap sits far above real programs:
+// the truth corpus nests at most 2 deep, its metamorphic variants 3, and
+// the fuzz seeds and corpora 5.
+const maxDepth = 1000
 
 func (p *parser) cur() token { return p.tok }
 
@@ -214,6 +224,9 @@ func (p *parser) block() ([]Stmt, error) {
 	if _, err := p.expect(tPunct, "{"); err != nil {
 		return nil, err
 	}
+	if p.depth++; p.depth > maxDepth {
+		return nil, p.errf("blocks nested more than %d deep", maxDepth)
+	}
 	mark := len(p.stmts)
 	for !p.accept(tPunct, "}") {
 		s, err := p.stmt()
@@ -224,6 +237,7 @@ func (p *parser) block() ([]Stmt, error) {
 	}
 	out := append([]Stmt(nil), p.stmts[mark:]...)
 	p.stmts = p.stmts[:mark]
+	p.depth--
 	return out, nil
 }
 
@@ -260,10 +274,12 @@ func (p *parser) stmt() (Stmt, error) {
 		st := &IfStmt{stmtBase: stmtBase{line}, Then: then}
 		if p.accept(tKeyword, "else") {
 			if p.at(tKeyword, "if") {
+				p.depth++
 				es, err := p.stmt()
 				if err != nil {
 					return nil, err
 				}
+				p.depth--
 				st.Else = []Stmt{es}
 			} else {
 				els, err := p.block()

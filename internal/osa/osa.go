@@ -10,7 +10,6 @@ package osa
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"o2/internal/ir"
@@ -67,12 +66,9 @@ func LocOf(a *pta.Analysis, k Key) (Loc, bool) {
 	return a.FieldNode(k.Obj, k.Field)
 }
 
-// Access records one access statement discovered during the traversal.
-type Access struct {
-	Loc    Loc
-	Origin pta.OriginID
-	Write  bool
-	Instr  ir.Instr
+// AccessCount counts recorded accesses and the writes among them.
+type AccessCount struct {
+	Accesses, Writes int64
 }
 
 // Result is the output of the analysis.
@@ -80,9 +76,12 @@ type Result struct {
 	A *pta.Analysis
 	// Shared lists the origin-shared locations in deterministic order.
 	Shared []Key
-	// Accesses are all recorded access statements (per contexted function
-	// per origin, deduplicated by memoization).
-	Accesses []Access
+	// Accesses counts the recorded accesses: one per access statement,
+	// object it may touch and origin, for each visited ⟨function, context,
+	// origin⟩ triple.
+	Accesses int
+	// ByOrigin splits Accesses by origin, indexed by OriginID.
+	ByOrigin []AccessCount
 	// SharedAccesses counts access statements on shared locations (the
 	// #S-access column of Table 7).
 	SharedAccesses int
@@ -97,6 +96,9 @@ type Result struct {
 	locIdx []int32
 	// locs holds the accessed locations in first-seen order.
 	locs []location
+	// visited marks the call-graph nodes the traversal visited under at
+	// least one origin, by FnCtxID.
+	visited []bool
 }
 
 // location is one accessed location's reader and writer origin sets
@@ -115,6 +117,9 @@ func (r *Result) lookup(l Loc) *location {
 	}
 	return nil
 }
+
+// Accessed reports whether some access touched the location.
+func (r *Result) Accessed(l Loc) bool { return r.lookup(l) != nil }
 
 // IsShared reports whether the location is origin-shared.
 func (r *Result) IsShared(l Loc) bool {
@@ -158,7 +163,12 @@ func AnalyzeWith(a *pta.Analysis, reg *obs.Registry) *Result {
 func AnalyzeCtx(ctx context.Context, a *pta.Analysis, reg *obs.Registry) (*Result, error) {
 	sp := reg.StartSpan("osa")
 	defer sp.End()
-	r := &Result{A: a, locIdx: make([]int32, a.NumNodes())}
+	r := &Result{
+		A:        a,
+		ByOrigin: make([]AccessCount, a.Origins.Len()),
+		locIdx:   make([]int32, a.NumNodes()),
+		visited:  make([]bool, a.CG.NumNodes()),
+	}
 	latch, stopWatch := pta.WatchCancel(ctx)
 	defer stopWatch()
 	v := &visitor{a: a, r: r, seen: map[visitKey]bool{}, ctx: ctx, latch: latch}
@@ -172,7 +182,7 @@ func AnalyzeCtx(ctx context.Context, a *pta.Analysis, reg *obs.Registry) (*Resul
 		reg.SetGauge("osa.shared_locations", int64(len(r.Shared)))
 		reg.SetGauge("osa.shared_objects", int64(r.SharedObjects))
 		reg.SetGauge("osa.shared_accesses", int64(r.SharedAccesses))
-		reg.SetGauge("osa.accesses", int64(len(r.Accesses)))
+		reg.SetGauge("osa.accesses", int64(r.Accesses))
 		reg.SetGauge("osa.visited", int64(r.Visited))
 	}
 	return r, nil
@@ -203,20 +213,13 @@ func (v *visitor) visit(fn pta.FnCtxID, origin pta.OriginID) {
 	}
 	v.seen[k] = true
 	v.r.Visited++
+	v.r.visited[fn] = true
 	for idx, in := range v.a.CG.Get(fn).Fn.Body {
-		switch in := in.(type) {
-		case *ir.LoadField:
-			v.access(fn, idx, origin, in, in.Obj, false)
-		case *ir.StoreField:
-			v.access(fn, idx, origin, in, in.Obj, true)
-		case *ir.LoadIndex:
-			v.access(fn, idx, origin, in, in.Arr, false)
-		case *ir.StoreIndex:
-			v.access(fn, idx, origin, in, in.Arr, true)
-		case *ir.LoadStatic:
-			v.static(fn, idx, origin, in, false)
-		case *ir.StoreStatic:
-			v.static(fn, idx, origin, in, true)
+		if base, write, ok := accessOf(in); ok {
+			locsAt(v.a, fn, idx, base, func(l Loc) { v.record(l, origin, write) })
+			continue
+		}
+		switch in.(type) {
 		case *ir.Call:
 			for _, e := range v.a.CG.EdgesAt(fn, idx) {
 				switch e.Kind {
@@ -239,24 +242,46 @@ func (v *visitor) visit(fn pta.FnCtxID, origin pta.OriginID) {
 	}
 }
 
-// access records the access at instruction idx of fn through base on
-// every object base may point to. An object without a field node is
-// skipped: only an analysis that stopped early lacks one.
-func (v *visitor) access(fn pta.FnCtxID, idx int, origin pta.OriginID, in ir.Instr, base *ir.Var, write bool) {
-	v.a.PointsToIn(fn, base).ForEach(func(o uint32) {
-		if l, ok := v.a.FieldNodeAt(fn, idx, pta.ObjID(o)); ok {
-			v.record(l, origin, write, in)
+// accessOf classifies in as a memory access: base is the object or array
+// variable of a field or array access and nil for a static access. ok is
+// false for every other instruction.
+func accessOf(in ir.Instr) (base *ir.Var, write, ok bool) {
+	switch in := in.(type) {
+	case *ir.LoadField:
+		return in.Obj, false, true
+	case *ir.StoreField:
+		return in.Obj, true, true
+	case *ir.LoadIndex:
+		return in.Arr, false, true
+	case *ir.StoreIndex:
+		return in.Arr, true, true
+	case *ir.LoadStatic:
+		return nil, false, true
+	case *ir.StoreStatic:
+		return nil, true, true
+	}
+	return nil, false, false
+}
+
+// locsAt calls fn with each location the access at instruction idx of
+// fc's function may touch: the static field, or base's field on every
+// object base may point to. An object without a field node is skipped:
+// only an analysis that stopped early lacks one.
+func locsAt(a *pta.Analysis, fc pta.FnCtxID, idx int, base *ir.Var, fn func(Loc)) {
+	if base == nil {
+		if l, ok := a.StaticNodeAt(fc, idx); ok {
+			fn(l)
+		}
+		return
+	}
+	a.PointsToIn(fc, base).ForEach(func(o uint32) {
+		if l, ok := a.FieldNodeAt(fc, idx, pta.ObjID(o)); ok {
+			fn(l)
 		}
 	})
 }
 
-func (v *visitor) static(fn pta.FnCtxID, idx int, origin pta.OriginID, in ir.Instr, write bool) {
-	if l, ok := v.a.StaticNodeAt(fn, idx); ok {
-		v.record(l, origin, write, in)
-	}
-}
-
-func (v *visitor) record(l Loc, origin pta.OriginID, write bool, in ir.Instr) {
+func (v *visitor) record(l Loc, origin pta.OriginID, write bool) {
 	r := v.r
 	i := r.locIdx[l]
 	if i == 0 {
@@ -264,17 +289,15 @@ func (v *visitor) record(l Loc, origin pta.OriginID, write bool, in ir.Instr) {
 		i = int32(len(r.locs))
 		r.locIdx[l] = i
 	}
-	if li := &r.locs[i-1]; write {
+	li, c := &r.locs[i-1], &r.ByOrigin[origin]
+	if write {
 		li.writers.Add(uint32(origin))
+		c.Writes++
 	} else {
 		li.readers.Add(uint32(origin))
 	}
-	// Past 256 elements append grows by about 1.25x per step, which over a
-	// run allocates several times the final array; double instead.
-	if n := len(r.Accesses); n == cap(r.Accesses) && n >= 256 {
-		r.Accesses = slices.Grow(r.Accesses, n)
-	}
-	r.Accesses = append(r.Accesses, Access{Loc: l, Origin: origin, Write: write, Instr: in})
+	c.Accesses++
+	r.Accesses++
 }
 
 func (r *Result) finish() {
@@ -308,13 +331,43 @@ func (r *Result) finish() {
 	}
 	sort.Slice(r.Shared, func(i, j int) bool { return r.Shared[i].Less(r.Shared[j]) })
 	r.SharedObjects = sharedObjs.Len()
-	// Count distinct access statements touching a shared location (one
-	// statement may be visited under several origins or contexts).
-	sharedInstrs := map[ir.Instr]bool{}
-	for _, acc := range r.Accesses {
-		if r.IsShared(acc.Loc) {
-			sharedInstrs[acc.Instr] = true
+	r.countShared()
+}
+
+// countShared counts the distinct access statements that touch a shared
+// location. Which locations a statement touches depends on its context,
+// not on the origin running it, so each visited call-graph node's
+// statements are checked once. A statement found shared in one context
+// of its function is marked and skipped in the others.
+func (r *Result) countShared() {
+	// start maps a function with a shared statement to the mark of its
+	// first instruction in shared.
+	start := map[*ir.Func]int{}
+	var shared []bool
+	for fc, ok := range r.visited {
+		if !ok {
+			continue
+		}
+		id := pta.FnCtxID(fc)
+		fn := r.A.CG.Get(id).Fn
+		off, marked := start[fn]
+		for idx, in := range fn.Body {
+			base, _, ok := accessOf(in)
+			if !ok || marked && shared[off+idx] {
+				continue
+			}
+			hit := false
+			locsAt(r.A, id, idx, base, func(l Loc) { hit = hit || r.IsShared(l) })
+			if !hit {
+				continue
+			}
+			if !marked {
+				off, marked = len(shared), true
+				shared = append(shared, make([]bool, len(fn.Body))...)
+				start[fn] = off
+			}
+			shared[off+idx] = true
+			r.SharedAccesses++
 		}
 	}
-	r.SharedAccesses = len(sharedInstrs)
 }

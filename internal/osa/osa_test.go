@@ -256,25 +256,146 @@ func TestKeyLocRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := osa.Analyze(a)
-		seen := map[osa.Loc]bool{}
-		for _, acc := range r.Accesses {
-			if seen[acc.Loc] {
+		accessed := 0
+		for l := range osa.Loc(a.NumNodes()) {
+			if !r.Accessed(l) {
 				continue
 			}
-			seen[acc.Loc] = true
-			k := osa.KeyOf(a, acc.Loc)
-			if l, ok := osa.LocOf(a, k); !ok || l != acc.Loc {
-				t.Errorf("%s: location %d has key %v, which maps to %d (found %v)", name, acc.Loc, k, l, ok)
+			accessed++
+			k := osa.KeyOf(a, l)
+			if got, ok := osa.LocOf(a, k); !ok || got != l {
+				t.Errorf("%s: location %d has key %v, which maps to %d (found %v)", name, l, k, got, ok)
 			}
 		}
-		if len(seen) == 0 || len(r.Shared) == 0 {
-			t.Fatalf("%s: %d locations, %d shared", name, len(seen), len(r.Shared))
+		if accessed == 0 || len(r.Shared) == 0 {
+			t.Fatalf("%s: %d locations, %d shared", name, accessed, len(r.Shared))
 		}
 		for _, k := range r.Shared {
 			l, ok := osa.LocOf(a, k)
 			if !ok || osa.KeyOf(a, l) != k || !r.IsShared(l) {
 				t.Errorf("%s: shared key %v does not round-trip (location %d, found %v)", name, k, l, ok)
 			}
+		}
+	}
+}
+
+// record is one access as the traversal meets it: a statement on one
+// location it may touch, run by one origin.
+type record struct {
+	loc    osa.Loc
+	origin pta.OriginID
+	write  bool
+	instr  ir.Instr
+}
+
+// records re-walks the traversal of Analyze and keeps every access as a
+// record: one per access statement, object and origin, for each visited
+// ⟨function, context, origin⟩ triple.
+func records(a *pta.Analysis) (recs []record, visited int) {
+	seen := map[[2]uint32]bool{}
+	var visit func(fc pta.FnCtxID, origin pta.OriginID)
+	visit = func(fc pta.FnCtxID, origin pta.OriginID) {
+		k := [2]uint32{uint32(fc), uint32(origin)}
+		if seen[k] {
+			return
+		}
+		seen[k] = true
+		for idx, in := range a.CG.Get(fc).Fn.Body {
+			var base *ir.Var
+			write := false
+			switch in := in.(type) {
+			case *ir.LoadField:
+				base = in.Obj
+			case *ir.StoreField:
+				base, write = in.Obj, true
+			case *ir.LoadIndex:
+				base = in.Arr
+			case *ir.StoreIndex:
+				base, write = in.Arr, true
+			case *ir.LoadStatic, *ir.StoreStatic:
+				_, write = in.(*ir.StoreStatic)
+				if l, ok := a.StaticNodeAt(fc, idx); ok {
+					recs = append(recs, record{l, origin, write, in})
+				}
+				continue
+			case *ir.Call:
+				for _, e := range a.CG.EdgesAt(fc, idx) {
+					switch e.Kind {
+					case pta.EdgeCall, pta.EdgeInit:
+						visit(e.Callee, origin)
+					case pta.EdgeSpawn:
+						visit(e.Callee, e.Origin)
+					}
+				}
+				continue
+			case *ir.Alloc:
+				for _, e := range a.CG.EdgesAt(fc, idx) {
+					if e.Kind == pta.EdgeCall || e.Kind == pta.EdgeInit {
+						visit(e.Callee, origin)
+					}
+				}
+				continue
+			default:
+				continue
+			}
+			a.PointsToIn(fc, base).ForEach(func(o uint32) {
+				if l, ok := a.FieldNodeAt(fc, idx, pta.ObjID(o)); ok {
+					recs = append(recs, record{l, origin, write, in})
+				}
+			})
+		}
+	}
+	visit(a.MainNode(), pta.MainOrigin)
+	return recs, len(seen)
+}
+
+// On the 31 presets the counts OSA keeps equal the ones read off a list
+// of every access record: the total, each origin's accesses and writes,
+// the accessed locations, and the distinct statements on shared
+// locations.
+func TestCountsMatchRecords(t *testing.T) {
+	entries := ir.DefaultEntryConfig()
+	presets := append(append([]workload.Preset(nil), workload.Table5...), workload.Table6...)
+	presets = append(presets, workload.GoSync())
+	for _, p := range presets {
+		a := pta.New(workload.Build(p, entries), pta.Config{Policy: pta.Policy{Kind: pta.KOrigin, K: 1}, Entries: entries})
+		if err := a.Solve(); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		r := osa.Analyze(a)
+		recs, visited := records(a)
+		byOrigin := make([]osa.AccessCount, a.Origins.Len())
+		accessed := map[osa.Loc]bool{}
+		sharedInstrs := map[ir.Instr]bool{}
+		for _, rec := range recs {
+			byOrigin[rec.origin].Accesses++
+			if rec.write {
+				byOrigin[rec.origin].Writes++
+			}
+			accessed[rec.loc] = true
+			if r.IsShared(rec.loc) {
+				sharedInstrs[rec.instr] = true
+			}
+		}
+		if r.Accesses != len(recs) || r.Visited != visited || r.SharedAccesses != len(sharedInstrs) {
+			t.Errorf("%s: accesses %d, visited %d, shared accesses %d; records give %d, %d, %d",
+				p.Name, r.Accesses, r.Visited, r.SharedAccesses, len(recs), visited, len(sharedInstrs))
+		}
+		if len(r.ByOrigin) != len(byOrigin) {
+			t.Fatalf("%s: %d origin counts, want %d", p.Name, len(r.ByOrigin), len(byOrigin))
+		}
+		for o, c := range byOrigin {
+			if r.ByOrigin[o] != c {
+				t.Errorf("%s: origin %d counts %+v, records give %+v", p.Name, o, r.ByOrigin[o], c)
+			}
+		}
+		for l := range osa.Loc(a.NumNodes()) {
+			if r.Accessed(l) != accessed[l] {
+				t.Errorf("%s: Accessed(%d) = %v, records say %v", p.Name, l, r.Accessed(l), accessed[l])
+			}
+		}
+		if len(sharedInstrs) == 0 {
+			t.Errorf("%s: no shared access statements", p.Name)
 		}
 	}
 }

@@ -67,7 +67,7 @@ func Analyze(a *pta.Analysis, sharing *osa.Result, g *shb.Graph) *Report {
 			case shb.NLock:
 				// The lock node's Region field is the region it opens.
 				regions[n.Region] = &regionInfo{
-					pos: n.Instr.Pos(), fn: n.Fn.Name, origin: seg.Origin, empty: true,
+					pos: g.Instr(id).Pos(), fn: g.Func(id).Name, origin: seg.Origin, empty: true,
 				}
 				stack = append(stack, n.Region)
 			case shb.NUnlock:

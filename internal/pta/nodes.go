@@ -105,8 +105,8 @@ type heap struct {
 	// of them (fieldKey).
 	objFields [][]fieldRef
 	bigFields map[uint64]NodeID
-	statNodes []NodeID   // fieldID -> static node + 1 (0: none)
-	nodes     []nodeInfo // NodeID -> info
+	statNodes []NodeID                // fieldID -> static node + 1 (0: none)
+	nodes     table[NodeID, nodeInfo] // NodeID -> info
 }
 
 type nodeKind uint8
@@ -265,17 +265,13 @@ func (h *heap) staticNode(f fieldID) NodeID {
 	return id
 }
 
-func (h *heap) newNode(ni nodeInfo) NodeID {
-	id := NodeID(len(h.nodes))
-	h.nodes = append(h.nodes, ni)
-	return id
-}
+func (h *heap) newNode(ni nodeInfo) NodeID { return h.nodes.push(ni) }
 
 // NumNodes returns the number of PAG nodes created.
-func (h *heap) NumNodes() int { return len(h.nodes) }
+func (h *heap) NumNodes() int { return h.nodes.len() }
 
 func (h *heap) nodeString(id NodeID, ctxs *ctxTable) string {
-	n := h.nodes[id]
+	n := h.nodes.at(id)
 	switch n.kind {
 	case nodeVar:
 		return fmt.Sprintf("⟨%s,%s⟩", n.v, ctxs.String(n.ctx))

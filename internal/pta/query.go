@@ -36,8 +36,8 @@ func (s Stats) String() string {
 // Stats returns run statistics.
 func (a *Analysis) Stats() Stats {
 	vars := 0
-	for _, n := range a.heap.nodes {
-		if n.kind == nodeVar {
+	for id := range NodeID(a.heap.nodes.len()) {
+		if a.heap.nodes.at(id).kind == nodeVar {
 			vars++
 		}
 	}
@@ -80,7 +80,7 @@ func (a *Analysis) PointsTo(v *ir.Var, ctx CtxID) *Bits {
 // fc, whose function must be v's; see PointsTo.
 func (a *Analysis) PointsToIn(fc FnCtxID, v *ir.Var) *Bits {
 	if vars := a.fnVars[fc]; v.ID < len(vars) && vars[v.ID] != 0 {
-		return &a.nodes[vars[v.ID]-1].pts
+		return &a.nodes.at(vars[v.ID] - 1).pts
 	}
 	return &emptyBits
 }
@@ -88,7 +88,7 @@ func (a *Analysis) PointsToIn(fc FnCtxID, v *ir.Var) *Bits {
 // FieldPointsTo returns the points-to set of ⟨obj⟩.field.
 func (a *Analysis) FieldPointsTo(obj ObjID, field string) *Bits {
 	if id, ok := a.FieldNode(obj, field); ok {
-		return &a.nodes[id].pts
+		return &a.nodes.at(id).pts
 	}
 	return &emptyBits
 }
@@ -96,7 +96,7 @@ func (a *Analysis) FieldPointsTo(obj ObjID, field string) *Bits {
 // StaticPointsTo returns the points-to set of static field "Class.field".
 func (a *Analysis) StaticPointsTo(sig string) *Bits {
 	if id, ok := a.StaticNode(sig); ok {
-		return &a.nodes[id].pts
+		return &a.nodes.at(id).pts
 	}
 	return &emptyBits
 }
@@ -139,7 +139,7 @@ func (a *Analysis) StaticNodeAt(fc FnCtxID, idx int) (NodeID, bool) {
 // field name of a field node, or object 0 and the signature of a static
 // node.
 func (a *Analysis) NodeField(id NodeID) (ObjID, string) {
-	n := &a.heap.nodes[id]
+	n := a.heap.nodes.at(id)
 	return n.obj, a.heap.fieldNames[n.field]
 }
 
@@ -251,9 +251,9 @@ func (a *Analysis) MainNode() FnCtxID {
 // ForEachFieldNode invokes fn for every object-field node in the PAG with
 // its points-to set, in NodeID order.
 func (a *Analysis) ForEachFieldNode(fn func(obj ObjID, field string, pts *Bits)) {
-	for id, n := range a.heap.nodes {
-		if n.kind == nodeField {
-			fn(n.obj, a.heap.fieldNames[n.field], &a.nodes[id].pts)
+	for id := range NodeID(a.heap.nodes.len()) {
+		if n := a.heap.nodes.at(id); n.kind == nodeField {
+			fn(n.obj, a.heap.fieldNames[n.field], &a.nodes.at(id).pts)
 		}
 	}
 }
@@ -261,9 +261,9 @@ func (a *Analysis) ForEachFieldNode(fn func(obj ObjID, field string, pts *Bits))
 // ForEachStaticNode invokes fn for every static-field node in the PAG, in
 // NodeID order.
 func (a *Analysis) ForEachStaticNode(fn func(sig string, pts *Bits)) {
-	for id, n := range a.heap.nodes {
-		if n.kind == nodeStatic {
-			fn(a.heap.fieldNames[n.field], &a.nodes[id].pts)
+	for id := range NodeID(a.heap.nodes.len()) {
+		if n := a.heap.nodes.at(id); n.kind == nodeStatic {
+			fn(a.heap.fieldNames[n.field], &a.nodes.at(id).pts)
 		}
 	}
 }

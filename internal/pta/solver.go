@@ -86,7 +86,7 @@ type pnode struct {
 	pts   Bits
 	delta Bits // objects added since the node was last processed
 	succ  []NodeID
-	cons  int32 // 1 + index into Analysis.cons; 0 when nothing is based here
+	cons  uint32 // 1 + index into Analysis.cons; 0 when nothing is based here
 	inWL  bool
 }
 
@@ -116,8 +116,10 @@ type Analysis struct {
 	ctxs *ctxTable
 	heap *heap
 
-	nodes []pnode    // NodeID -> solver state
-	cons  []nodeCons // pnode.cons-1 -> constraints based on that node
+	// nodes holds each node's solver state, parallel to heap.nodes; an
+	// element never moves, so a *pnode stays valid while nodes are made.
+	nodes table[NodeID, pnode]
+	cons  table[uint32, nodeCons] // pnode.cons-1 -> constraints based on that node
 	// edges dedups the edges of nodes with at least smallSucc
 	// successors (edgeKey).
 	edges map[uint64]struct{}
@@ -222,7 +224,7 @@ func (a *Analysis) SolveCtx(ctx context.Context) error {
 		if n := len(a.wl); n > 0 {
 			id := a.wl[n-1]
 			a.wl = a.wl[:n-1]
-			a.nodes[id].inWL = false
+			a.nodes.at(id).inWL = false
 			a.iterations++
 			a.processNode(id)
 			continue
@@ -254,8 +256,8 @@ func (a *Analysis) recordObs() {
 	// Distribution of non-empty points-to set sizes: the quantity that
 	// governs both precision (aliasing resolution) and propagation cost.
 	h := reg.Histogram("pta.points_to_size", obs.SizeBuckets)
-	for i := range a.nodes {
-		if n := a.nodes[i].pts.Len(); n > 0 {
+	for id := range NodeID(a.nodes.len()) {
+		if n := a.nodes.at(id).pts.Len(); n > 0 {
 			h.Observe(float64(n))
 		}
 	}
@@ -281,17 +283,13 @@ func (a *Analysis) isOriginClass(c *ir.Class) bool { return c.IsThread || c.IsEv
 
 // ---- node/pts management ----
 
-// ensureNode makes room for node id, doubling the node table when full.
-func (a *Analysis) ensureNode(id NodeID) {
-	if int(id) < len(a.nodes) {
-		return
+// ensureNode gives node id solver state in a.nodes, the table parallel
+// to heap.nodes, and returns id.
+func (a *Analysis) ensureNode(id NodeID) NodeID {
+	for a.nodes.len() <= int(id) {
+		a.nodes.push(pnode{})
 	}
-	if int(id) >= cap(a.nodes) {
-		nodes := make([]pnode, len(a.nodes), max(int(id)+1, 2*cap(a.nodes), 64))
-		copy(nodes, a.nodes)
-		a.nodes = nodes
-	}
-	a.nodes = a.nodes[:id+1]
+	return id
 }
 
 // varNode returns the node of v in call-graph node fc, whose function
@@ -303,48 +301,42 @@ func (a *Analysis) varNode(fc FnCtxID, v *ir.Var) NodeID {
 	}
 	id := a.heap.newNode(nodeInfo{kind: nodeVar, v: v, ctx: a.CG.Get(fc).Ctx})
 	vars[v.ID] = id + 1
-	a.ensureNode(id)
-	return id
+	return a.ensureNode(id)
 }
 
 func (a *Analysis) fieldNode(obj ObjID, f fieldID) NodeID {
-	id := a.heap.fieldNode(obj, f)
-	a.ensureNode(id)
-	return id
+	return a.ensureNode(a.heap.fieldNode(obj, f))
 }
 
 func (a *Analysis) staticNode(f fieldID) NodeID {
-	id := a.heap.staticNode(f)
-	a.ensureNode(id)
-	return id
+	return a.ensureNode(a.heap.staticNode(f))
 }
 
 // consOf returns the constraint lists based on node n, creating them.
 func (a *Analysis) consOf(n NodeID) *nodeCons {
-	p := &a.nodes[n]
+	p := a.nodes.at(n)
 	if p.cons == 0 {
-		a.cons = append(a.cons, nodeCons{})
-		p.cons = int32(len(a.cons))
+		p.cons = a.cons.push(nodeCons{}) + 1
 	}
-	return &a.cons[p.cons-1]
+	return a.cons.at(p.cons - 1)
 }
 
 func (a *Analysis) enqueue(n NodeID) {
-	if p := &a.nodes[n]; !p.inWL {
+	if p := a.nodes.at(n); !p.inWL {
 		p.inWL = true
 		a.wl = append(a.wl, n)
 	}
 }
 
 func (a *Analysis) addObj(n NodeID, o ObjID) {
-	if p := &a.nodes[n]; p.pts.Add(uint32(o)) {
+	if p := a.nodes.at(n); p.pts.Add(uint32(o)) {
 		p.delta.Add(uint32(o))
 		a.enqueue(n)
 	}
 }
 
 func (a *Analysis) addSet(n NodeID, s *Bits) {
-	p := &a.nodes[n]
+	p := a.nodes.at(n)
 	changed := false
 	s.ForEach(func(o uint32) {
 		a.steps++ // propagation work: one unit per candidate object
@@ -362,7 +354,7 @@ func (a *Analysis) addEdge(from, to NodeID) {
 	if from == to {
 		return
 	}
-	p := &a.nodes[from]
+	p := a.nodes.at(from)
 	if len(p.succ) < smallSucc {
 		if slices.Contains(p.succ, to) {
 			return
@@ -388,7 +380,7 @@ func (a *Analysis) addEdge(from, to NodeID) {
 }
 
 func (a *Analysis) processNode(n NodeID) {
-	p := &a.nodes[n]
+	p := a.nodes.at(n)
 	d := p.delta
 	p.delta = Bits{}
 	if d.IsEmpty() {
@@ -400,10 +392,8 @@ func (a *Analysis) processNode(n NodeID) {
 		}
 		a.addSet(m, &d)
 	}
-	// The constraints below create field nodes, which may move a.nodes,
-	// so p is reloaded after them; a.cons grows only in genConstraints.
 	if ci := p.cons; ci != 0 {
-		c := &a.cons[ci-1]
+		c := a.cons.at(ci - 1)
 		for _, lc := range c.loads {
 			d.ForEach(func(o uint32) {
 				a.addEdge(a.fieldNode(ObjID(o), lc.field), lc.dst)
@@ -428,7 +418,7 @@ func (a *Analysis) processNode(n NodeID) {
 	// grows into existing capacity instead of reallocating from nil —
 	// deltas churn once per worklist pop, the solver's hottest allocation
 	// site.
-	if p = &a.nodes[n]; len(p.delta.w) == 0 {
+	if len(p.delta.w) == 0 {
 		clear(d.w)
 		p.delta = d
 	}
@@ -650,11 +640,11 @@ func (a *Analysis) genStore(base, src NodeID, f fieldID) {
 
 // replayObjs invokes fn for objects already in pts(base) when a constraint
 // is registered late (the node may have been populated by earlier callers).
-// The snapshot lands in a reused scratch buffer: fn may grow a.nodes
-// (ensureNode) or mutate pts(base) itself, but never re-enters replayObjs
-// (its callbacks only enqueue work), so one scratch per Analysis is safe.
+// The snapshot lands in a reused scratch buffer: fn may add to pts(base)
+// itself, but never re-enters replayObjs (its callbacks only enqueue
+// work), so one scratch per Analysis is safe.
 func (a *Analysis) replayObjs(base NodeID, fn func(ObjID)) {
-	pts := &a.nodes[base].pts
+	pts := &a.nodes.at(base).pts
 	if pts.IsEmpty() {
 		return
 	}

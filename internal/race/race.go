@@ -613,7 +613,7 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 				continue // merged into the region's representative access
 			}
 		}
-		sk := sigKey{grpField[gi], n.Instr.Pos()}
+		sk := sigKey{grpField[gi], g.Instr(id).Pos()}
 		sig, ok := sigs[sk]
 		if !ok {
 			sig = int32(len(sigs))
@@ -680,13 +680,12 @@ func commonLock(g *shb.Graph, x, y acc, opt Options, gr *groupResult) bool {
 }
 
 func access(g *shb.Graph, x acc) Access {
-	n := &g.Nodes[x.node]
 	return Access{
 		Node:   x.node,
 		Origin: g.Origin(x.node),
 		Write:  x.write,
-		Pos:    n.Instr.Pos(),
-		Fn:     n.Fn.Name,
+		Pos:    g.Instr(x.node).Pos(),
+		Fn:     g.Func(x.node).Name,
 	}
 }
 

@@ -251,7 +251,7 @@ func syncEdges(g *shb.Graph, segA, segB shb.SegID) []string {
 			if !ok {
 				continue
 			}
-			s := fmt.Sprintf("%s %s -> %s", kind, g.Nodes[e.From].Instr.Pos(), g.Nodes[e.To].Instr.Pos())
+			s := fmt.Sprintf("%s %s -> %s", kind, g.Instr(e.From).Pos(), g.Instr(e.To).Pos())
 			if !seen[s] {
 				seen[s] = true
 				out = append(out, s)

@@ -67,15 +67,19 @@ type SegID int32
 //     NWgWait: Obj, the condition, channel or WaitGroup object;
 //   - NLock, NUnlock, NEntry, NJoin: neither (an NLock node's Region is
 //     the region it opens).
+//
+// A node names its instruction by call-graph node and index and holds no
+// pointer, so the arena is 32 bytes a node and the collector never scans
+// it; Graph.Instr and Graph.Func resolve the instruction.
 type Node struct {
-	Kind   NodeKind
-	Seg    SegID
-	Loc    osa.Loc
-	Obj    pta.ObjID
-	Locks  lockset.ID
-	Region int32 // innermost lock-region instance (0 = outside any region)
-	Instr  ir.Instr
-	Fn     *ir.Func
+	Kind     NodeKind
+	Seg      SegID
+	Loc      osa.Loc
+	Obj      pta.ObjID
+	Locks    lockset.ID
+	Region   int32       // innermost lock-region instance (0 = outside any region)
+	FnCtx    pta.FnCtxID // the call-graph node whose function holds the instruction
+	InstrIdx int32       // the instruction's index in that function's body
 }
 
 // Segment is the trace of one origin instance.
@@ -97,6 +101,7 @@ type Graph struct {
 	Nodes    []Node
 	Segs     []*Segment
 	Locksets *lockset.Table
+	cg       *pta.CallGraph // resolves a node's FnCtx
 	// out[seg] lists the inter-origin edges leaving seg, sorted by (From,
 	// To).
 	out [][]Edge
@@ -141,6 +146,7 @@ func BuildCtx(ctx context.Context, a *pta.Analysis, cfg Config) (*Graph, error) 
 	sp := cfg.Obs.StartSpan("shb")
 	defer sp.End()
 	g := &Graph{
+		cg:          a.CG,
 		Locksets:    lockset.NewTable(),
 		reachHits:   cfg.Obs.Counter("shb.reach_hits"),
 		reachMisses: cfg.Obs.Counter("shb.reach_misses"),
@@ -289,6 +295,12 @@ func (g *Graph) Seg(id SegID) *Segment { return g.Segs[id] }
 
 // Origin returns the origin of a node.
 func (g *Graph) Origin(n int) pta.OriginID { return g.Segs[g.Nodes[n].Seg].Origin }
+
+// Func returns the function holding a node's instruction.
+func (g *Graph) Func(n int) *ir.Func { return g.cg.Get(g.Nodes[n].FnCtx).Fn }
+
+// Instr returns a node's instruction.
+func (g *Graph) Instr(n int) ir.Instr { return g.Func(n).Body[g.Nodes[n].InstrIdx] }
 
 // OriginGraphCost is the share of the graph owned by one origin, used by
 // the driver's Introspection section.
@@ -492,84 +504,73 @@ func (b *builder) walk(fn pta.FnCtxID) {
 	b.onStack[fn] = true
 	b.walked[fn] = b.syncClock
 	defer func() { b.onStack[fn] = false }()
-	f := b.a.CG.Get(fn).Fn
-	for idx, in := range f.Body {
+	for idx, in := range b.a.CG.Get(fn).Fn.Body {
 		if b.full() {
 			return
 		}
 		switch in := in.(type) {
 		case *ir.LoadField:
-			b.accesses(NRead, fn, idx, in, in.Obj)
+			b.accesses(NRead, fn, idx, in.Obj)
 		case *ir.StoreField:
-			b.accesses(NWrite, fn, idx, in, in.Obj)
+			b.accesses(NWrite, fn, idx, in.Obj)
 		case *ir.LoadIndex:
-			b.accesses(NRead, fn, idx, in, in.Arr)
+			b.accesses(NRead, fn, idx, in.Arr)
 		case *ir.StoreIndex:
-			b.accesses(NWrite, fn, idx, in, in.Arr)
+			b.accesses(NWrite, fn, idx, in.Arr)
 		case *ir.LoadStatic:
-			b.static(NRead, fn, idx, in)
+			b.static(NRead, fn, idx)
 		case *ir.StoreStatic:
-			b.static(NWrite, fn, idx, in)
+			b.static(NWrite, fn, idx)
 		case *ir.MonitorEnter:
 			// The lock node carries the region it opens (its lockset is
 			// still the set held *before* acquiring).
-			id := b.node(Node{Kind: NLock, Instr: in, Fn: f})
+			id := b.node(Node{Kind: NLock, FnCtx: fn, InstrIdx: int32(idx)})
 			b.g.Nodes[id].Region = b.pushLock(b.a.PointsToIn(fn, in.Obj).Slice())
 			b.syncClock++
 		case *ir.MonitorExit:
 			if n := len(b.lockStack); n > 0 {
 				b.lockStack = b.lockStack[:n-1]
 			}
-			b.node(Node{Kind: NUnlock, Instr: in, Fn: f})
+			b.node(Node{Kind: NUnlock, FnCtx: fn, InstrIdx: int32(idx)})
 			b.syncClock++
 		case *ir.ChanSend:
 			// Channel operations create inter-origin edges, so the sync
 			// clock advances: a callee replayed after a send can carry new
 			// happens-before and must not dedup against its pre-send replay.
 			b.syncClock++
-			b.objNodes(NChanSend, fn, in, in.Ch)
+			b.objNodes(NChanSend, fn, idx, in.Ch)
 		case *ir.ChanRecv:
 			b.syncClock++
-			b.objNodes(NChanRecv, fn, in, in.Ch)
+			b.objNodes(NChanRecv, fn, idx, in.Ch)
 		case *ir.ChanClose:
 			b.syncClock++
-			b.objNodes(NChanClose, fn, in, in.Ch)
+			b.objNodes(NChanClose, fn, idx, in.Ch)
 		case *ir.Call, *ir.Alloc:
-			if c, ok := in.(*ir.Call); ok && c.Recv != nil && c.Static == nil {
-				ent := b.a.Cfg.Entries
-				switch {
-				case ent.IsWait(c.Method):
-					// Rule for condition waits: a notify on the same object
-					// happens-before the resumption modeled by this node.
+			edges := b.a.CG.EdgesAt(fn, idx)
+			if c, ok := in.(*ir.Call); ok && c.Recv != nil && c.Static == nil && len(edges) == 0 {
+				// A condition wait or notify, or a WaitGroup barrier: the
+				// call resolved to no user-defined target (the receiver is
+				// an ambient object), so model it as a sync node. A class
+				// defining a method of the same name dispatches normally
+				// below. A notify on the same object happens-before the
+				// resumption a wait node models.
+				if kind, ok := syncKind(b.a.Cfg.Entries, c.Method); ok {
 					b.syncClock++
-					b.objNodes(NWait, fn, c, c.Recv)
-					continue
-				case ent.IsNotify(c.Method):
-					b.syncClock++
-					b.objNodes(NNotify, fn, c, c.Recv)
-					continue
-				}
-				if kind, ok := wgKind(ent, c.Method); ok && len(b.a.CG.EdgesAt(fn, idx)) == 0 {
-					// WaitGroup barrier: the call resolved to no user-defined
-					// target (the receiver is an ambient WaitGroup object),
-					// so model it as a barrier node. Classes defining real
-					// Add/Done/Wait methods dispatch normally above.
-					b.syncClock++
-					b.objNodes(kind, fn, c, c.Recv)
+					b.objNodes(kind, fn, idx, c.Recv)
 					continue
 				}
 			}
-			for _, e := range b.a.CG.EdgesAt(fn, idx) {
+			for _, e := range edges {
 				switch e.Kind {
 				case pta.EdgeCall, pta.EdgeInit:
 					b.walk(e.Callee)
 				case pta.EdgeSpawn:
 					b.syncClock++
-					ent := b.node(Node{Kind: NEntry, Instr: in.(ir.Instr), Fn: f})
+					ent := b.node(Node{Kind: NEntry, FnCtx: fn, InstrIdx: int32(idx)})
 					b.spawns = append(b.spawns, pendingSpawn{ent, b.segment(e.Callee, e.Origin)})
 				case pta.EdgeJoin:
 					b.syncClock++
-					jn := b.node(Node{Kind: NJoin, Instr: in.(ir.Instr), Fn: f})
+					jn := b.node(Node{Kind: NJoin, FnCtx: fn, InstrIdx: int32(idx)})
 					b.joins = append(b.joins, pendingJoin{e.Origin, jn})
 				}
 			}
@@ -577,9 +578,14 @@ func (b *builder) walk(fn pta.FnCtxID) {
 	}
 }
 
-// wgKind classifies a WaitGroup method name, if it is one.
-func wgKind(ent ir.EntryConfig, method string) (NodeKind, bool) {
+// syncKind classifies a condition-variable or WaitGroup method name, if
+// it is one.
+func syncKind(ent ir.EntryConfig, method string) (NodeKind, bool) {
 	switch {
+	case ent.IsWait(method):
+		return NWait, true
+	case ent.IsNotify(method):
+		return NNotify, true
 	case ent.IsWgAdd(method):
 		return NWgAdd, true
 	case ent.IsWgDone(method):
@@ -591,36 +597,34 @@ func wgKind(ent ir.EntryConfig, method string) (NodeKind, bool) {
 }
 
 // objNodes records a node of a synchronization kind per object v may
-// point to in fn: the condition, channel or WaitGroup operand. Channel
-// kinds skip objects that are not channels. connectSync adds the edges
-// once the graph is built.
-func (b *builder) objNodes(kind NodeKind, fn pta.FnCtxID, in ir.Instr, v *ir.Var) {
+// point to in fn: the condition, channel or WaitGroup operand of the
+// instruction at idx. Channel kinds skip objects that are not channels.
+// connectSync adds the edges once the graph is built.
+func (b *builder) objNodes(kind NodeKind, fn pta.FnCtxID, idx int, v *ir.Var) {
 	chanOp := kind == NChanSend || kind == NChanRecv || kind == NChanClose
-	f := b.a.CG.Get(fn).Fn
 	b.a.PointsToIn(fn, v).ForEach(func(o uint32) {
 		if chanOp && b.a.Obj(pta.ObjID(o)).Kind != pta.ObjChan {
 			return
 		}
-		b.node(Node{Kind: kind, Obj: pta.ObjID(o), Instr: in, Fn: f})
+		b.node(Node{Kind: kind, Obj: pta.ObjID(o), FnCtx: fn, InstrIdx: int32(idx)})
 	})
 }
 
 // accesses records an access node for the access at instruction idx of
 // fn per object the base may point to. An object without a field node is
 // skipped: only an analysis that stopped early lacks one.
-func (b *builder) accesses(kind NodeKind, fn pta.FnCtxID, idx int, in ir.Instr, base *ir.Var) {
-	f := b.a.CG.Get(fn).Fn
+func (b *builder) accesses(kind NodeKind, fn pta.FnCtxID, idx int, base *ir.Var) {
 	b.a.PointsToIn(fn, base).ForEach(func(o uint32) {
 		if l, ok := b.a.FieldNodeAt(fn, idx, pta.ObjID(o)); ok {
-			b.node(Node{Kind: kind, Loc: l, Instr: in, Fn: f})
+			b.node(Node{Kind: kind, Loc: l, FnCtx: fn, InstrIdx: int32(idx)})
 		}
 	})
 }
 
 // static records an access node on a static field, skipped like a field
 // access when the field has no node.
-func (b *builder) static(kind NodeKind, fn pta.FnCtxID, idx int, in ir.Instr) {
+func (b *builder) static(kind NodeKind, fn pta.FnCtxID, idx int) {
 	if l, ok := b.a.StaticNodeAt(fn, idx); ok {
-		b.node(Node{Kind: kind, Loc: l, Instr: in, Fn: b.a.CG.Get(fn).Fn})
+		b.node(Node{Kind: kind, Loc: l, FnCtx: fn, InstrIdx: int32(idx)})
 	}
 }

@@ -2,6 +2,7 @@ package shb_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -305,7 +306,7 @@ main { s = new S(); t1 = new W(s); t2 = new W(s); t1.start(); t2.start(); }
 	}
 	entries := 0
 	for id, n := range g.Nodes {
-		if n.Kind == shb.NEntry && n.Fn.Name == "W.run" {
+		if n.Kind == shb.NEntry && g.Func(id).Name == "W.run" {
 			entries++
 			if from[id] {
 				t.Errorf("E's entry node %d has an out-edge", id)
@@ -364,13 +365,9 @@ main {
 func TestSHBKeysConsistentWithOSA(t *testing.T) {
 	a, g := build(t, spawnJoin, shb.Config{})
 	sh := osa.Analyze(a)
-	locs := map[osa.Loc]bool{}
-	for _, acc := range sh.Accesses {
-		locs[acc.Loc] = true
-	}
 	for _, n := range g.Nodes {
 		if n.Kind == shb.NRead || n.Kind == shb.NWrite {
-			if !locs[n.Loc] {
+			if !sh.Accessed(n.Loc) {
 				t.Errorf("SHB access %v unknown to OSA", osa.KeyOf(a, n.Loc))
 			}
 		}
@@ -378,10 +375,20 @@ func TestSHBKeysConsistentWithOSA(t *testing.T) {
 }
 
 // Nodes are the graph's arena, one per traced access or sync operation:
-// keep each at 48 bytes or less.
+// keep each at 32 bytes or less, with no field the collector must scan.
 func TestNodeSize(t *testing.T) {
-	if sz := unsafe.Sizeof(shb.Node{}); sz > 48 {
-		t.Errorf("shb.Node is %d bytes, want at most 48", sz)
+	if sz := unsafe.Sizeof(shb.Node{}); sz > 32 {
+		t.Errorf("shb.Node is %d bytes, want at most 32", sz)
+	}
+	typ := reflect.TypeOf(shb.Node{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("shb.Node.%s is a %s, which may hold a pointer", f.Name, f.Type.Kind())
+		}
 	}
 }
 

@@ -44,14 +44,8 @@ func buildIntrospection(res *Result, attr *race.Attribution) *obs.Introspection 
 		totalCG += cg[i]
 		totalNodes += gc[i].Nodes
 	}
-	for _, acc := range res.Sharing.Accesses {
-		if int(acc.Origin) >= n {
-			continue
-		}
-		costs[acc.Origin].Accesses++
-		if acc.Write {
-			costs[acc.Origin].Writes++
-		}
+	for i, c := range res.Sharing.ByOrigin {
+		costs[i].Accesses, costs[i].Writes = c.Accesses, c.Writes
 	}
 	var pairSum int64
 	if attr != nil {

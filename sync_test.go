@@ -1,6 +1,9 @@
 package o2
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Tests for the synchronization extensions the paper lists as future work
 // (§4: "we aim to support atomics and semaphores ... by adding new
@@ -202,6 +205,42 @@ main {
 	}
 	if f := res.Races()[0].Key.Field; f != "late" {
 		t.Errorf("race on %q, want late", f)
+	}
+}
+
+// A user method named like a condition-variable or WaitGroup operation
+// is an ordinary call: SHB traces its body, so a race inside it is
+// reported exactly as under any other name.
+func TestUserMethodNamedLikeSyncOp(t *testing.T) {
+	src := func(method string) string {
+		return fmt.Sprintf(`
+class Shared {
+  field data;
+  %[1]s() { this.data = this; }
+}
+class W {
+  field sh;
+  W(sh) { this.sh = sh; }
+  run() { s = this.sh; s.%[1]s(); }
+}
+main {
+  sh = new Shared();
+  w1 = new W(sh);
+  w2 = new W(sh);
+  w1.start();
+  w2.start();
+}
+`, method)
+	}
+	want := analyze(t, src("bump"), DefaultConfig()).Races()
+	if len(want) != 1 || want[0].Key.Field != "data" {
+		t.Fatalf("setup: want one race on data, got %d", len(want))
+	}
+	for _, m := range []string{"wait", "notify", "notifyAll", "signal", "Add", "Done", "Wait"} {
+		got := analyze(t, src(m), DefaultConfig()).Races()
+		if len(got) != 1 || got[0].Key != want[0].Key || got[0].A.Pos != want[0].A.Pos || got[0].B.Pos != want[0].B.Pos {
+			t.Errorf("method %s: %d races, want the race %s reports", m, len(got), "bump")
+		}
 	}
 }
 
