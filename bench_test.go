@@ -254,10 +254,12 @@ func BenchmarkAblation(b *testing.B) {
 //
 //	go test -bench=DetectAllocs -benchmem
 //
-// is the command behind EXPERIMENTS.md's allocation table. The detect
-// hot path is arena-backed (flat access groups, per-worker race-pair
-// arenas, interned bitset locksets), so allocs/op stays near-constant in
-// the workload size and the worker count.
+// is the command behind EXPERIMENTS.md's allocation table. Accesses sit
+// in one flat group table and locksets are interned bitsets; a worker
+// keeps one racing pair per signature, not every racing pair, and the
+// race list is allocated once at its final length. So allocs/op stays
+// near-constant in the workload size and the worker count, and bytes/op
+// grow with the races reported, not the racing pairs found.
 func BenchmarkDetectAllocs(b *testing.B) {
 	entries := ir.DefaultEntryConfig()
 	p, _ := workload.ByName("zookeeper")
@@ -283,8 +285,10 @@ func BenchmarkDetectAllocs(b *testing.B) {
 //	go test -run '^$' -bench FrontPhaseAllocs -benchmem
 //
 // The solver keeps its state in dense per-node and per-call-graph-node
-// tables, and OSA and SHB key theirs by the PAG node of each location, so
-// each phase's allocation stays in a few arenas.
+// tables, holds a points-to set of one object inline, and carves its
+// per-node lists and per-call-graph-node variable tables from slabs; OSA
+// and SHB key their state by the PAG node of each location. So each
+// phase allocates a few arenas, not one object per element.
 func BenchmarkFrontPhaseAllocs(b *testing.B) {
 	entries := ir.DefaultEntryConfig()
 	p, _ := workload.ByName("zookeeper")
@@ -467,10 +471,11 @@ func BenchmarkParallelDetectObs(b *testing.B) {
 // TestDetectProgressDisabledAllocFree pins the allocation cost of the
 // disabled flight-recorder path: a sequential Detect with Progress and
 // Attr nil must allocate exactly as little as it did before the hooks
-// existed. The detect hot path is allocation-free by construction (the
-// pair buffer is reused across groups), so the budget is a handful of
-// fixed setup allocations — any per-pair or per-stride allocation from
-// the progress/attribution plumbing blows it immediately.
+// existed. The detect hot path allocates only when a worker meets a new
+// race signature (its kept-pair list and signature set grow), so the
+// budget is a handful of fixed setup allocations — any per-pair or
+// per-stride allocation from the progress/attribution plumbing blows it
+// immediately.
 func TestDetectProgressDisabledAllocFree(t *testing.T) {
 	entries := ir.DefaultEntryConfig()
 	p, ok := workload.ByName("avrora")
@@ -490,7 +495,7 @@ func TestDetectProgressDisabledAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		race.Detect(a, sh, g, opts)
 	})
-	// Report + group bookkeeping for the warm run; measured ~68 on a quiet
+	// Report + group bookkeeping for the warm run; measured 83 on a quiet
 	// run, pinned with headroom against process-global noise. A single
 	// per-pair allocation would add hundreds (avrora checks >200 pairs)
 	// and trip the pin at once.

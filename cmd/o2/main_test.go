@@ -4,7 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"regexp"
 	"testing"
+	"time"
 
 	"o2"
 )
@@ -71,5 +75,33 @@ func TestRunExit(t *testing.T) {
 		if got := run(tc.args); got != tc.want {
 			t.Errorf("o2 %v: exit %d, want %d", tc.args, got, tc.want)
 		}
+	}
+}
+
+// TestServeBounds checks the bounds o2 serve puts on one request: its
+// HTTP server times out slow request headers, and `o2 serve -h` shows
+// the default deadline of a job whose request sets none.
+func TestServeBounds(t *testing.T) {
+	if got := newHTTPServer(nil).ReadHeaderTimeout; got != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", got)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	code := run([]string{"serve", "-h"})
+	os.Stderr = stderr
+	w.Close()
+	usage, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != exitUsage {
+		t.Errorf("o2 serve -h: exit %d, want %d", code, exitUsage)
+	}
+	if !regexp.MustCompile(`-job-timeout duration\n[^\n]*\(default 5m0s\)`).Match(usage) {
+		t.Errorf("o2 serve -h does not show a 5m -job-timeout default:\n%s", usage)
 	}
 }

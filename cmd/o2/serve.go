@@ -38,6 +38,20 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	return nil, fmt.Errorf("bad -log-format %q (want json, text or none)", format)
 }
 
+// Bounds on one request to o2 serve: the time a client may take to send
+// its headers, and the deadline of a job whose request sets none.
+const (
+	readHeaderTimeout = 10 * time.Second
+	defaultJobTimeout = 5 * time.Minute
+)
+
+// newHTTPServer returns o2 serve's HTTP server for h. Its
+// ReadHeaderTimeout keeps a client that never finishes its headers from
+// holding a connection open.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // runServe starts the batch-analysis HTTP service and blocks until
 // SIGINT/SIGTERM, then drains in-flight jobs before exiting.
 func runServe(args []string) int {
@@ -47,7 +61,7 @@ func runServe(args []string) int {
 	workers := fs.Int("workers", 0, "job worker-pool size (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "admission queue depth (backpressure beyond it)")
 	cache := fs.Int("cache", 128, "result-cache entries (-1 disables caching)")
-	jobTimeout := fs.Duration("job-timeout", 0, "default per-job deadline (0 = none)")
+	jobTimeout := fs.Duration("job-timeout", defaultJobTimeout, "default per-job deadline, for requests that set none (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	logFormat := fs.String("log-format", "text", "structured-log format: json, text, none")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
@@ -92,7 +106,7 @@ func runServe(args []string) int {
 	fmt.Fprintf(os.Stderr, "o2 serve: listening on http://%s (workers=%d queue=%d cache=%d)\n",
 		bound, s.Stats().Workers, *queue, *cache)
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 

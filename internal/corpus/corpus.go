@@ -10,6 +10,7 @@ package corpus
 import (
 	"archive/zip"
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -166,11 +167,21 @@ type ManifestEntry struct {
 	Path   string `json:"path,omitempty"`
 }
 
+// MaxRecordBytes caps a manifest line and the body of a served analysis
+// request. It sits well above the largest body ./ci.sh smoke posts (32.5
+// MB of JSON for a 2.5M-level nested program), which must still get its
+// parse error.
+const MaxRecordBytes = 64 << 20
+
+// maxRecordBytes is the line cap manifests enforce: MaxRecordBytes, which
+// tests lower.
+var maxRecordBytes = MaxRecordBytes
+
 // Manifest streams an NDJSON manifest from r: one JSON object per line
 // (see ManifestEntry), blank lines ignored. dir anchors relative Path
 // entries ("" = process working directory). The reader is consumed
 // lazily, line by line, so manifests of any length stream in constant
-// memory.
+// memory; a line over MaxRecordBytes fails the stream.
 func Manifest(r io.Reader, dir string) Iterator {
 	return &manifestIter{br: bufio.NewReader(r), dir: dir}
 }
@@ -199,12 +210,12 @@ type manifestIter struct {
 
 func (it *manifestIter) Next() (o2.Source, bool, error) {
 	for {
-		line, err := it.br.ReadString('\n')
+		it.line++
+		line, err := it.readLine()
 		if err != nil && err != io.EOF {
-			return o2.Source{}, false, err
+			return o2.Source{}, false, fmt.Errorf("manifest line %d: %w", it.line, err)
 		}
 		eof := err == io.EOF
-		it.line++
 		trimmed := strings.TrimSpace(line)
 		if trimmed != "" {
 			src, perr := it.parse(trimmed)
@@ -216,6 +227,25 @@ func (it *manifestIter) Next() (o2.Source, bool, error) {
 		if eof {
 			return o2.Source{}, false, nil
 		}
+	}
+}
+
+// readLine returns the next line with its newline, like ReadString, but
+// fails once the line holds more than maxRecordBytes bytes before it.
+func (it *manifestIter) readLine() (string, error) {
+	var head []byte // the line's fragments before frag, if it outgrew the buffer
+	for {
+		frag, err := it.br.ReadSlice('\n')
+		if len(head)+len(bytes.TrimSuffix(frag, []byte("\n"))) > maxRecordBytes {
+			return "", fmt.Errorf("record exceeds %d bytes", maxRecordBytes)
+		}
+		if err != bufio.ErrBufferFull {
+			if head == nil {
+				return string(frag), err
+			}
+			return string(append(head, frag...)), err
+		}
+		head = append(head, frag...)
 	}
 }
 

@@ -170,6 +170,26 @@ func TestInlineManifestRejectsPaths(t *testing.T) {
 	}
 }
 
+// TestInlineManifestRecordCap: a record line over the cap fails the
+// stream with its line number; records before it are read, including one
+// longer than the reader's buffer.
+func TestInlineManifestRecordCap(t *testing.T) {
+	defer func(n int) { maxRecordBytes = n }(maxRecordBytes)
+	maxRecordBytes = 10000
+	record := func(n int) string { return `{"source":"` + strings.Repeat("x", n) + `"}` }
+	it := InlineManifest(strings.NewReader(record(1) + "\n\n" + record(6000) + "\n" + record(maxRecordBytes) + "\n" + record(1) + "\n"))
+	for _, want := range []int{1, 6000} {
+		src, more, err := it.Next()
+		if err != nil || !more || len(src.Bytes) != want {
+			t.Fatalf("entry of %d bytes: got %d bytes, more=%v, err=%v", want, len(src.Bytes), more, err)
+		}
+	}
+	_, _, err := it.Next()
+	if err == nil || !strings.Contains(err.Error(), "line 4") || !strings.Contains(err.Error(), "exceeds 10000 bytes") {
+		t.Fatalf("err = %v, want a line-4 record-size error", err)
+	}
+}
+
 func TestChain(t *testing.T) {
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a.mini"), filepath.Join(dir, "b.mini")

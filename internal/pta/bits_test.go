@@ -1,11 +1,61 @@
 package pta
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// A Bits sits in every pnode twice and in every OSA location record twice:
+// keep it at 16 bytes.
+func TestBitsSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Bits{}); sz > 16 {
+		t.Errorf("Bits is %d bytes, want at most 16", sz)
+	}
+}
+
+// A set that never held more than one element allocates nothing.
+func TestBitsInlineAllocs(t *testing.T) {
+	var a, b Bits
+	for name, fn := range map[string]func(){
+		"Add":        func() { a = Bits{}; a.Add(7) },
+		"repeat Add": func() { a = Bits{}; a.Add(7); a.Add(7) },
+		"Has":        func() { a.Has(7) },
+		"ForEach":    func() { a.ForEach(func(uint32) {}) },
+		"Clear":      func() { a.Add(7); a.Clear() },
+		"UnionWith":  func() { a, b = Bits{}, Bits{}; a.Add(7); b.Add(7); a.UnionWith(&b) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s on a one-element set: %.0f allocs, want 0", name, n)
+		}
+	}
+}
+
+// The largest element fits inline like any other. (A spilled set holding
+// it takes 2^26 words, 512 MiB, so no test spills it.)
+func TestBitsLargestElement(t *testing.T) {
+	const top = math.MaxUint32
+	var a Bits
+	if !a.Add(top) || a.Add(top) || !a.Has(top) || a.Has(0) || a.Len() != 1 {
+		t.Fatalf("inline %d: membership wrong", uint32(top))
+	}
+	if got := a.Slice(); !slices.Equal(got, []uint32{top}) {
+		t.Errorf("Slice = %v", got)
+	}
+	var b, c Bits
+	b.Add(1)
+	b.Add(2) // spilled, with words far below top's
+	if b.Has(top) || b.Intersects(&a) || a.Intersects(&b) {
+		t.Errorf("spilled {1, 2} reports %d", uint32(top))
+	}
+	if !c.UnionWith(&a) || !c.Has(top) || !a.Copy().Has(top) {
+		t.Errorf("union or copy lost %d", uint32(top))
+	}
+}
 
 func TestBitsBasics(t *testing.T) {
 	var b Bits
@@ -160,6 +210,82 @@ func TestBitsQuickUnionIntersect(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestBitsQuickShortSequences runs two sets through short random
+// operation sequences, so inline sets, the spill on the second element,
+// element 0 and the domain's largest element all occur often, and checks
+// every result and both sets against a map model after each step.
+func TestBitsQuickShortSequences(t *testing.T) {
+	const top = 4095 // the domain's largest element
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		elem := func() uint32 {
+			switch r.Intn(4) {
+			case 0:
+				return 0
+			case 1:
+				return top
+			}
+			return uint32(r.Intn(top + 1))
+		}
+		var sets [2]Bits
+		models := [2]map[uint32]bool{{}, {}}
+		for range r.Intn(7) {
+			k := r.Intn(2)
+			b, m := &sets[k], models[k]
+			switch r.Intn(5) {
+			case 0, 1:
+				v := elem()
+				if b.Add(v) == m[v] {
+					return false
+				}
+				m[v] = true
+			case 2:
+				if v := elem(); b.Has(v) != m[v] {
+					return false
+				}
+			case 3:
+				b.Clear()
+				clear(m)
+			case 4:
+				changed := false
+				for v := range models[1-k] {
+					changed = changed || !m[v]
+					m[v] = true
+				}
+				if b.UnionWith(&sets[1-k]) != changed {
+					return false
+				}
+			}
+			for k := range sets {
+				if !matchesModel(&sets[k], models[k]) || !matchesModel(sets[k].Copy(), models[k]) {
+					return false
+				}
+			}
+			inter := false
+			for v := range models[0] {
+				inter = inter || models[1][v]
+			}
+			if sets[0].Intersects(&sets[1]) != inter || sets[1].Intersects(&sets[0]) != inter {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// matchesModel reports whether b holds exactly m's elements.
+func matchesModel(b *Bits, m map[uint32]bool) bool {
+	want := make([]uint32, 0, len(m))
+	for v := range m {
+		want = append(want, v)
+	}
+	slices.Sort(want)
+	return b.Len() == len(m) && b.IsEmpty() == (len(m) == 0) && slices.Equal(b.Slice(), want)
 }
 
 func union(a, b map[uint32]bool) map[uint32]bool {

@@ -12,3 +12,11 @@ func TestNodeInfoSize(t *testing.T) {
 		t.Errorf("nodeInfo is %d bytes, want at most 24", sz)
 	}
 }
+
+// The solver keeps one pnode per PAG node: keep it at 64 bytes, which
+// needs its two points-to sets to be 16-byte Bits.
+func TestPNodeSize(t *testing.T) {
+	if sz := unsafe.Sizeof(pnode{}); sz > 64 {
+		t.Errorf("pnode is %d bytes, want at most 64", sz)
+	}
+}

@@ -137,6 +137,13 @@ type Analysis struct {
 	fnFields   [][]fieldID
 	funcFields map[*ir.Func][]fieldID
 
+	// Per-node successor and constraint lists and the fnVars tables are
+	// carved from these slabs.
+	nodeLists  slab[NodeID]
+	loadLists  slab[loadC]
+	storeLists slab[storeC]
+	callLists  slab[callC]
+
 	fnWL []FnCtxID
 	wl   []NodeID
 
@@ -154,7 +161,7 @@ type Analysis struct {
 	latch       *Latch // trips when ctx ends; nil when ctx is not cancellable
 	err         error
 
-	replayScratch Bits // replayObjs' reusable points-to snapshot
+	replayScratch []uint64 // replayObjs' reusable snapshot of a spilled set's words
 }
 
 // New creates an analysis for the (finalized) program.
@@ -366,7 +373,7 @@ func (a *Analysis) addEdge(from, to NodeID) {
 		}
 		a.edges[k] = struct{}{}
 	}
-	p.succ = append(p.succ, to)
+	p.succ = a.nodeLists.append(p.succ, to)
 	if len(p.succ) == smallSucc {
 		for _, t := range p.succ {
 			a.edges[edgeKey(from, t)] = struct{}{}
@@ -413,13 +420,12 @@ func (a *Analysis) processNode(n NodeID) {
 			})
 		}
 	}
-	// Recycle d's word storage into the (now empty, unless a callback
-	// above re-populated it) delta slot, so the next delta for this node
-	// grows into existing capacity instead of reallocating from nil —
-	// deltas churn once per worklist pop, the solver's hottest allocation
-	// site.
-	if len(p.delta.w) == 0 {
-		clear(d.w)
+	// Recycle a spilled d's words into the (now empty, unless a callback
+	// above re-populated it) delta slot, so the node's next large delta
+	// grows into existing capacity instead of spilling again. d is a
+	// copy of the old p.delta, so nothing else holds its words.
+	if d.words != nil && p.delta == (Bits{}) {
+		d.Clear()
 		p.delta = d
 	}
 }
@@ -504,7 +510,7 @@ func (a *Analysis) originCtx(allocCtx CtxID, site int) CtxID {
 func (a *Analysis) markReachable(fn *ir.Func, ctx CtxID) FnCtxID {
 	id := a.CG.Node(fn, ctx)
 	if int(id) == len(a.fnVars) {
-		a.fnVars = append(a.fnVars, make([]NodeID, len(fn.Locals)))
+		a.fnVars = append(a.fnVars, a.nodeLists.make(len(fn.Locals), len(fn.Locals)))
 		a.fnFields = append(a.fnFields, a.fieldsOf(fn))
 		a.fnWL = append(a.fnWL, id)
 	}
@@ -613,7 +619,7 @@ func (a *Analysis) genConstraints(id FnCtxID) {
 			recv := a.varNode(id, driver)
 			cc := callC{caller: id, instr: in, idx: idx}
 			c := a.consOf(recv)
-			c.calls = append(c.calls, cc)
+			c.calls = a.callLists.append(c.calls, cc)
 			a.constraints++
 			a.replayObjs(recv, func(o ObjID) { a.resolveCall(cc, o) })
 		}
@@ -624,7 +630,7 @@ func (a *Analysis) genConstraints(id FnCtxID) {
 // already points to.
 func (a *Analysis) genLoad(base, dst NodeID, f fieldID) {
 	c := a.consOf(base)
-	c.loads = append(c.loads, loadC{dst, f})
+	c.loads = a.loadLists.append(c.loads, loadC{dst, f})
 	a.constraints++
 	a.replayObjs(base, func(o ObjID) { a.addEdge(a.fieldNode(o, f), dst) })
 }
@@ -633,7 +639,7 @@ func (a *Analysis) genLoad(base, dst NodeID, f fieldID) {
 // already points to.
 func (a *Analysis) genStore(base, src NodeID, f fieldID) {
 	c := a.consOf(base)
-	c.stores = append(c.stores, storeC{src, f})
+	c.stores = a.storeLists.append(c.stores, storeC{src, f})
 	a.constraints++
 	a.replayObjs(base, func(o ObjID) { a.addEdge(src, a.fieldNode(o, f)) })
 }
@@ -645,11 +651,15 @@ func (a *Analysis) genStore(base, src NodeID, f fieldID) {
 // work), so one scratch per Analysis is safe.
 func (a *Analysis) replayObjs(base NodeID, fn func(ObjID)) {
 	pts := &a.nodes.at(base).pts
-	if pts.IsEmpty() {
+	if pts.words == nil {
+		// An inline set's one element is its own snapshot.
+		if pts.n == 1 {
+			fn(ObjID(pts.v))
+		}
 		return
 	}
-	a.replayScratch.w = append(a.replayScratch.w[:0], pts.w...)
-	a.replayScratch.ForEach(func(o uint32) { fn(ObjID(o)) })
+	a.replayScratch = append(a.replayScratch[:0], pts.spilled()...)
+	forEachIn(a.replayScratch, func(o uint32) { fn(ObjID(o)) })
 }
 
 func (a *Analysis) genAlloc(caller FnCtxID, ctx CtxID, al *ir.Alloc, idx int) {

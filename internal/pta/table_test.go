@@ -1,6 +1,9 @@
 package pta
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // Indices on both sides of every chunk boundary read back what was
 // pushed, and an element keeps its address while the table grows.
@@ -35,6 +38,66 @@ func TestTableChunks(t *testing.T) {
 		}
 		if len(c) != want {
 			t.Errorf("chunk %d holds %d elements, want %d", k, len(c), want)
+		}
+	}
+}
+
+// A slab's chunks start at slabFirstChunk elements and double up to
+// slabChunkMax; a list wanting more than a quarter of the current chunk
+// gets its own storage.
+func TestSlabChunks(t *testing.T) {
+	var s slab[int]
+	var sizes []int
+	for range 4 * slabChunkMax {
+		before := s.size
+		s.make(1, 1)
+		if s.size != before || len(sizes) == 0 {
+			sizes = append(sizes, s.size)
+		}
+	}
+	want := []int{}
+	for n := slabFirstChunk; n <= slabChunkMax; n *= 2 {
+		want = append(want, n)
+	}
+	for len(want) < len(sizes) {
+		want = append(want, slabChunkMax)
+	}
+	if !slices.Equal(sizes, want) {
+		t.Errorf("chunk sizes = %v, want %v", sizes, want)
+	}
+	free := len(s.free)
+	if l := s.make(0, slabChunkMax/4+1); cap(l) != slabChunkMax/4+1 || len(s.free) != free {
+		t.Errorf("a list of capacity %d was carved from the chunk", slabChunkMax/4+1)
+	}
+}
+
+// Lists carved from one slab keep their contents when they move to grow,
+// and neither slab.append nor a built-in append on one list writes into
+// another.
+func TestSlabLists(t *testing.T) {
+	var s slab[int]
+	lists := make([][]int, 50)
+	for round := range 40 {
+		for i := range lists {
+			if round < i%40 {
+				lists[i] = s.append(lists[i], i*1000+round)
+			}
+		}
+	}
+	if len(lists[8]) != cap(lists[8]) {
+		t.Fatalf("list 8 has length %d and capacity %d, want a full list", len(lists[8]), cap(lists[8]))
+	}
+	grown := append(lists[8], -1) // a built-in append on a full carved list
+	grown[0] = -2
+	for i, l := range lists {
+		n := i % 40
+		if len(l) != n {
+			t.Fatalf("list %d has %d elements, want %d", i, len(l), n)
+		}
+		for round, v := range l {
+			if v != i*1000+round {
+				t.Fatalf("list %d element %d = %d, want %d", i, round, v, i*1000+round)
+			}
 		}
 	}
 }

@@ -56,71 +56,68 @@ func (b *pairBudget) isTripped() bool { return b.tripped.Load() }
 // either because the pair budget tripped or the context ended.
 func (b *pairBudget) stopped() bool { return b.tripped.Load() || b.latch.Tripped() }
 
-// detectParallel shards the sorted candidate groups across workers.
-// Workers claim group indices from a shared atomic cursor and write each
-// result into its own slot. Once the pool drains, the caller merges the
-// slots in sorted key order, so the cross-group race dedup sees
-// candidates in exactly the sequential encounter order — the parallel
-// report is byte-identical to Workers == 1 whenever the budget does not
-// trip, and a consistent lower bound when it does: every claimed group
-// returned its partial result from checkGroup, and unclaimed groups hold
-// zero results, which merge as nothing.
-// It returns the summed busy time of all workers (0 when observability is
-// disabled), which Detect turns into the worker-utilization gauge: a
-// worker is busy from pool entry until it runs out of groups, so the
-// ratio busy/(workers × wall) exposes shard imbalance.
-func detectParallel(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp *grouped, bud *pairBudget, workers int, sp *obs.Span) int64 {
+// detectGroups checks the sorted candidate groups with a pool of workers
+// and merges their results into rep. Workers claim group indices from a
+// shared atomic cursor and write each result into its own slot; with one
+// worker the pool is the calling goroutine. Once the pool drains, the
+// slots merge in sorted key order, so the cross-group race dedup sees
+// candidates in the order one worker would find them: the report is the
+// same for every worker count whenever the budget does not trip, and a
+// consistent lower bound when it does, since every claimed group returned
+// its partial result from checkGroup and unclaimed groups hold zero
+// results, which merge as nothing.
+// It returns the summed busy time of the pool's goroutines (0 with one
+// worker, or when observability is disabled), which Detect turns into the
+// worker-utilization gauge: a worker is busy from pool entry until it runs
+// out of groups, so the ratio busy/(workers × wall) exposes shard
+// imbalance.
+func detectGroups(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp *grouped, bud *pairBudget, workers int, sp *obs.Span) int64 {
 	keys := grp.keys
 	results := make([]groupResult, len(keys))
 	var next atomic.Int64
-	var busyNS atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var ws *obs.Span
-			if sp != nil {
-				ws = sp.Child(fmt.Sprintf("worker-%02d", w))
-				start := time.Now()
-				defer func() {
-					busyNS.Add(int64(time.Since(start)))
-					ws.End()
-				}()
+	run := func() {
+		w := worker{seen: map[uint64]struct{}{}, tally: opt.newTally()}
+		// The per-origin tally merges additively on exit, so the
+		// attribution totals are worker-count independent.
+		defer opt.Attr.merge(w.tally)
+		for !bud.stopped() {
+			i := int(next.Add(1)) - 1
+			if i >= len(keys) {
+				return
 			}
-			// Per-worker racePair arena: checkGroup results hold views
-			// into it. Never reset — every view is read by the merge
-			// after the pool drains; later appends only write past every
-			// earlier view's capacity (see checkGroup).
-			var buf []racePair
-			// Per-worker origin tally, merged additively on exit so the
-			// attribution totals are worker-count independent.
-			tally := opt.newTally()
-			defer opt.Attr.merge(tally)
-			for {
-				if bud.stopped() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(keys) {
-					return
-				}
-				results[i], buf = checkGroup(a, g, keys[i], grp.group(i), opt, bud, buf, tally)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// A canceled caller gets only the groups merged so far: merging hashes
-	// a signature per checked pair, which would hold cancellation for as
-	// long as the pairs took to check. A tripped pair budget still merges
-	// every group, so its report stays the consistent lower bound.
-	seen := map[uint64]struct{}{}
-	for i, k := range keys {
-		if bud.canceled() {
-			break
+			results[i] = checkGroup(a, g, grp.group(i), opt, bud, &w)
 		}
-		mergeGroup(rep, g, k, grp.group(i), &results[i], seen, opt.Attr, opt.Progress)
 	}
+	var busyNS atomic.Int64
+	if workers == 1 {
+		run()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if sp != nil {
+					ws := sp.Child(fmt.Sprintf("worker-%02d", w))
+					start := time.Now()
+					defer func() {
+						busyNS.Add(int64(time.Since(start)))
+						ws.End()
+					}()
+				}
+				run()
+			}(w)
+		}
+		wg.Wait()
+	}
+
+	// A canceled caller gets only the groups merged before the cancel, and
+	// waits for no more races to be built. A tripped pair budget still
+	// merges every group, so its report stays the consistent lower bound.
+	merged := 0
+	for ; merged < len(results) && !bud.canceled(); merged++ {
+		rep.merge(&results[merged])
+	}
+	rep.Races = races(g, grp, results[:merged], opt.Attr, opt.Progress)
 	return busyNS.Load()
 }

@@ -129,7 +129,7 @@ func TestParallelDifferential(t *testing.T) {
 			seqOpts := opts
 			seqOpts.Workers = 1
 			seq, seqAttr := detectObserved(t, label+"/seq", a, sh, g, seqOpts)
-			for _, w := range []int{4, 8} {
+			for _, w := range []int{2, 3, 4, 8} {
 				parOpts := opts
 				parOpts.Workers = w
 				par, parAttr := detectObserved(t, label, a, sh, g, parOpts)
@@ -171,4 +171,32 @@ func TestWorkersZeroDefaultsToParallel(t *testing.T) {
 	seq := race.Detect(a, sh, g, seqOpts)
 	def := race.Detect(a, sh, g, race.O2Options())
 	sameReport(t, "tomcat/default", seq, def)
+}
+
+// TestRacesInReportOrder asserts that Detect lists the races of each of
+// the 31 presets in RaceLess order, one per signature, at one, two and
+// four workers: Detect sorts races by their packed sig ranks, which must
+// order them as RaceLess does.
+func TestRacesInReportOrder(t *testing.T) {
+	presets := append(append([]workload.Preset(nil), workload.Table5...), workload.Table6...)
+	presets = append(presets, workload.GoSync())
+	total := 0
+	for _, p := range presets {
+		a, sh, g := solvePreset(t, p.Name)
+		for _, w := range []int{1, 2, 4} {
+			opts := race.O2Options()
+			opts.Workers = w
+			rs := race.Detect(a, sh, g, opts).Races
+			for i := 1; i < len(rs); i++ {
+				if !race.RaceLess(&rs[i-1], &rs[i]) {
+					t.Errorf("%s workers=%d: race %d (%s) does not sort before race %d (%s)", p.Name, w, i-1, &rs[i-1], i, &rs[i])
+					break
+				}
+			}
+			total += len(rs)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no preset reported a race")
+	}
 }

@@ -8,10 +8,12 @@
 package race
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -57,8 +59,9 @@ type Options struct {
 	PairBudget int64
 	// Workers sets the detection worker-pool size: per-location candidate
 	// groups are sharded across Workers goroutines. 0 defaults to
-	// GOMAXPROCS; 1 runs the sequential path. For a fixed input the report
-	// is identical for every worker count (see Detect).
+	// GOMAXPROCS; 1 checks the groups on the calling goroutine. For a
+	// fixed input the report is identical for every worker count (see
+	// Detect).
 	Workers int
 	// Obs receives the detection span (with one child span per worker
 	// shard), the work counters and the worker-utilization gauges. Nil
@@ -67,8 +70,8 @@ type Options struct {
 	Obs *obs.Registry
 	// Progress, when set, receives live detection progress: the total
 	// candidate-pair estimate up front, then examined-pair counts flushed
-	// on the cancelStride tick (never per pair) and race counts as each
-	// group merges — with more than one worker, once the pool drains.
+	// on the cancelStride tick (never per pair) and the race count once
+	// the pool drains.
 	// Nil disables progress; like Obs, the disabled hot path is one
 	// branch per stride.
 	Progress *obs.Progress
@@ -87,8 +90,8 @@ type Options struct {
 type Attribution struct {
 	Pairs     []int64
 	HBQueries []int64
-	// Races is updated only on the (single-threaded) merge path, in
-	// deterministic group order.
+	// Races is updated only once the pool drains, single-threaded and in
+	// report order.
 	Races []int64
 
 	mu sync.Mutex // guards Pairs/HBQueries during worker merges
@@ -237,7 +240,7 @@ func Detect(a *pta.Analysis, sharing *osa.Result, g *shb.Graph, opt Options) *Re
 // report is returned alongside pta.ErrCanceled (or pta.ErrBudget when the
 // context deadline expired); it is a valid lower bound but not the full
 // result. A canceled report holds only the groups merged before the
-// cancel: the parallel path stops merging its workers' results there.
+// cancel: detection stops merging its workers' results there.
 func DetectCtx(ctx context.Context, a *pta.Analysis, sharing *osa.Result, g *shb.Graph, opt Options) (*Report, error) {
 	sp := opt.Obs.StartSpan("detect")
 	start := time.Now()
@@ -265,16 +268,10 @@ func DetectCtx(ctx context.Context, a *pta.Analysis, sharing *osa.Result, g *shb
 	if workers > len(grp.keys) {
 		workers = len(grp.keys)
 	}
-	var busyNS int64
-	if workers > 1 {
-		busyNS = detectParallel(a, g, opt, rep, grp, bud, workers, sp)
-	} else {
-		workers = 1
-		detectSequential(a, g, opt, rep, grp, bud)
-	}
+	workers = max(workers, 1)
+	busyNS := detectGroups(a, g, opt, rep, grp, bud, workers, sp)
 	rep.TimedOut = bud.isTripped()
 	rep.Groups = len(grp.keys)
-	sort.Slice(rep.Races, func(i, j int) bool { return raceLess(&rep.Races[i], &rep.Races[j]) })
 	rep.Elapsed = time.Since(start)
 	if workers == 1 {
 		busyNS = int64(rep.Elapsed)
@@ -313,42 +310,30 @@ func (rep *Report) recordObs(reg *obs.Registry, workers int, busyNS int64) {
 	reg.SetGauge("race.detect_wall_ns", int64(rep.Elapsed))
 }
 
-// detectSequential is the Workers == 1 path: groups are checked one after
-// another in sorted key order, stopping at the first budget trip. One
-// racePair buffer is reused across every group (each group's view is
-// materialized by mergeGroup before the next check overwrites it), so the
-// steady-state loop allocates nothing.
-func detectSequential(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp *grouped, bud *pairBudget) {
-	seen := map[uint64]struct{}{}
-	var buf []racePair
-	tally := opt.newTally()
-	for i, k := range grp.keys {
-		if bud.stopped() {
-			break
-		}
-		var gr groupResult
-		accs := grp.group(i)
-		gr, buf = checkGroup(a, g, k, accs, opt, bud, buf[:0], tally)
-		mergeGroup(rep, g, k, accs, &gr, seen, opt.Attr, opt.Progress)
-	}
-	opt.Attr.merge(tally)
-}
-
 // racePair is a racing access pair in compact form: the indices of the
-// two accesses within their group. The hot loop appends these (8 bytes,
-// into a reused arena) instead of materialized Race structs (~170 bytes
-// of strings and positions each, >90% of which the cross-group dedup
-// would discard); mergeGroup expands only the pairs whose signature is
-// unseen.
+// two accesses within their group. A worker keeps a racing pair only when
+// its signature pair is new to that worker, so it keeps one pair per
+// signature instead of every racing pair (the 31 presets find about 20
+// racing pairs per reported race); races materializes a Race only for
+// the first pair of each signature in the whole report.
 type racePair struct {
 	a, b int32
+}
+
+// worker is one detection worker's private state. It claims groups in
+// increasing index, so the pair it keeps for a signature is the first one
+// it found.
+type worker struct {
+	seen  map[uint64]struct{} // signature pairs (sigPair) of the kept pairs
+	kept  []racePair          // the kept pairs, in the order found
+	tally *originTally
 }
 
 // groupResult is the outcome of checking one candidate group. Each worker
 // accumulates into its own groupResult, so the hot loop touches no shared
 // counters except the budget reservation.
 type groupResult struct {
-	rp          []racePair // racing pairs, a view into the caller's arena
+	rp          []racePair // the racing pairs the worker kept, a view into worker.kept
 	pairs       int64
 	hbq         int64
 	locks       int64
@@ -357,43 +342,73 @@ type groupResult struct {
 	reps        int
 }
 
-// mergeGroup folds the result of the group with key k and accesses accs
-// into the report, deduplicating races by signature in encounter order
-// and materializing a Race struct only for the first pair of each
-// signature. A pair's signature is the unordered pair of its accesses'
-// sig IDs, packed into seen's key. It runs single-threaded (the
-// sequential loop, or the parallel path once its pool drains) in
-// deterministic group order, so the attribution and progress race counts
-// it updates are deterministic too.
-func mergeGroup(rep *Report, g *shb.Graph, k osa.Key, accs []acc, gr *groupResult, seen map[uint64]struct{}, attr *Attribution, prog *obs.Progress) {
+// sigPair packs the unordered pair of x's and y's sig ranks, low rank
+// first. Packed pairs sort as their races are reported (see collect), and
+// two races are duplicates exactly when their sig pairs are equal.
+func sigPair(x, y *acc) uint64 {
+	lo, hi := x.sig, y.sig
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return uint64(lo)<<32 | uint64(hi)
+}
+
+// merge folds a group result's counters into the report.
+func (rep *Report) merge(gr *groupResult) {
 	rep.Representatives += gr.reps
 	rep.PairsChecked += gr.pairs
 	rep.HBQueries += gr.hbq
 	rep.LockChecks += gr.locks
 	rep.SkippedReadRead += gr.skipRR
 	rep.SkippedSameSeg += gr.skipSameSeg
-	newRaces := int64(0)
-	for _, p := range gr.rp {
-		x, y := &accs[p.a], &accs[p.b]
-		lo, hi := x.sig, y.sig
-		if lo > hi {
-			lo, hi = hi, lo
+}
+
+// foundRace is a kept racing pair with its sig pair and group.
+type foundRace struct {
+	key   uint64 // sigPair of the accesses
+	group int32
+	pair  racePair
+}
+
+// races returns the races of the groups whose results are given, one per
+// signature, in report order, and credits each to the attribution and the
+// progress. A race's pair is the first one of its signature in group and
+// iteration order: its group's worker kept it, because a worker claims
+// groups in increasing index, and no other group kept one of that
+// signature earlier. After sorting the kept pairs by sig pair, then group,
+// it is the first of its signature. Ascending sig pair is report order.
+func races(g *shb.Graph, grp *grouped, results []groupResult, attr *Attribution, prog *obs.Progress) []Race {
+	n := 0
+	for i := range results {
+		n += len(results[i].rp)
+	}
+	found := make([]foundRace, 0, n)
+	for gi := range results {
+		accs := grp.group(gi)
+		for _, p := range results[gi].rp {
+			found = append(found, foundRace{sigPair(&accs[p.a], &accs[p.b]), int32(gi), p})
 		}
-		// One map operation per pair: the insert grows the map exactly
-		// when the signature is new.
-		before := len(seen)
-		if seen[uint64(lo)<<32|uint64(hi)] = struct{}{}; len(seen) == before {
-			continue
+	}
+	slices.SortFunc(found, func(x, y foundRace) int {
+		if c := cmp.Compare(x.key, y.key); c != 0 {
+			return c
 		}
-		rep.Races = append(rep.Races, Race{Key: k, A: access(g, *x), B: access(g, *y)})
-		newRaces++
+		return cmp.Compare(x.group, y.group)
+	})
+	found = slices.CompactFunc(found, func(x, y foundRace) bool { return x.key == y.key })
+	out := make([]Race, len(found))
+	for i, f := range found {
+		accs := grp.group(int(f.group))
+		x, y := accs[f.pair.a], accs[f.pair.b]
+		out[i] = Race{Key: grp.keys[f.group], A: access(g, x), B: access(g, y)}
 		if attr != nil {
 			tallyPair(attr.Races, g, x.node, y.node)
 		}
 	}
-	if newRaces > 0 {
-		prog.AddRaces(newRaces)
+	if len(out) > 0 {
+		prog.AddRaces(int64(len(out)))
 	}
+	return out
 }
 
 // cancelStride is the number of hot-loop iterations between cancellation
@@ -411,14 +426,14 @@ const cancelStride = 64
 // graph state (the SHB reach cache and the lockset table are internally
 // synchronized), so any number of checkGroup calls may run concurrently.
 //
-// Racing pairs are appended to buf (the caller's arena) in iteration
-// order; the returned result's rp field is the view buf[lo:len:len] and
-// the grown arena is returned for reuse. The view stays valid while the
-// caller appends to the arena afterwards: later appends write past the
-// view's capacity (or into a reallocated array), never into it.
-func checkGroup(a *pta.Analysis, g *shb.Graph, k osa.Key, accs []acc, opt Options, bud *pairBudget, buf []racePair, tally *originTally) (groupResult, []racePair) {
-	gr := groupResult{reps: len(accs)}
-	lo := len(buf)
+// A racing pair whose signature pair is new to the worker w is appended
+// to w.kept; the result's rp field is the view of the group's pairs,
+// capped so that it stays valid while w appends afterwards.
+func checkGroup(a *pta.Analysis, g *shb.Graph, accs []acc, opt Options, bud *pairBudget, w *worker) (gr groupResult) {
+	gr.reps = len(accs)
+	lo := len(w.kept)
+	defer func() { gr.rp = w.kept[lo:len(w.kept):len(w.kept)] }()
+	tally := w.tally
 	tick, flushed := 0, 0
 	for i := 0; i < len(accs); i++ {
 		for j := i; j < len(accs); j++ {
@@ -432,8 +447,7 @@ func checkGroup(a *pta.Analysis, g *shb.Graph, k osa.Key, accs []acc, opt Option
 					flushed = tick
 				}
 				if bud.canceled() {
-					gr.rp = buf[lo:len(buf):len(buf)]
-					return gr, buf
+					return gr
 				}
 			}
 			x, y := accs[i], accs[j]
@@ -452,8 +466,7 @@ func checkGroup(a *pta.Analysis, g *shb.Graph, k osa.Key, accs []acc, opt Option
 			}
 			if !bud.take() {
 				flushProgress(opt.Progress, tick, flushed)
-				gr.rp = buf[lo:len(buf):len(buf)]
-				return gr, buf
+				return gr
 			}
 			gr.pairs++
 			if tally != nil {
@@ -477,12 +490,14 @@ func checkGroup(a *pta.Analysis, g *shb.Graph, k osa.Key, accs []acc, opt Option
 					continue
 				}
 			}
-			buf = append(buf, racePair{int32(i), int32(j)})
+			before := len(w.seen)
+			if w.seen[sigPair(&x, &y)] = struct{}{}; len(w.seen) != before {
+				w.kept = append(w.kept, racePair{int32(i), int32(j)})
+			}
 		}
 	}
 	flushProgress(opt.Progress, tick, flushed)
-	gr.rp = buf[lo:len(buf):len(buf)]
-	return gr, buf
+	return gr
 }
 
 // flushProgress publishes the unflushed examined-pair delta on group exit.
@@ -493,8 +508,8 @@ func flushProgress(p *obs.Progress, tick, flushed int) {
 }
 
 // acc is one candidate access: its SHB node, whether it writes, and its
-// sig, an ID for the pair (field name, source position) that collect
-// interns. Equal sigs mean equal field and position.
+// sig, the rank of the pair (field name, source position) among those of
+// all candidate accesses. Equal sigs mean equal field and position.
 type acc struct {
 	node  int
 	sig   int32
@@ -537,7 +552,10 @@ const (
 // volatile, or interned as a dense group index in first-seen (node-ID)
 // order. A second pass scatters the surviving accesses into the flat
 // arena in sorted-key group order, preserving node order within each
-// group.
+// group, and replaces each access's interned sig by its rank in (field
+// name, file, line) order. Races are reported by field, then the lower
+// position, then the higher one (the tests' RaceLess), so packed rank
+// pairs sort in report order.
 func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, rep *Report, bud *pairBudget) *grouped {
 	fate := make([]int32, a.NumNodes())
 	var keys []osa.Key   // dense group index → location key
@@ -631,7 +649,12 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(i, j int) bool { return keys[order[i]].Less(keys[order[j]]) })
+	slices.SortFunc(order, func(x, y int32) int {
+		if keys[x].Less(keys[y]) {
+			return -1
+		}
+		return 1 // keys are distinct
+	})
 	out := &grouped{
 		keys: make([]osa.Key, len(keys)),
 		accs: make([]acc, len(tmp)),
@@ -645,12 +668,46 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 	}
 	cur := make([]int32, len(keys))
 	copy(cur, out.off[:len(keys)])
+	rank := sigRanks(sigs, fields)
 	for i := range tmp {
 		p := pos[tmp[i].grp]
-		out.accs[cur[p]] = tmp[i].a
+		x := tmp[i].a
+		x.sig = rank[x.sig]
+		out.accs[cur[p]] = x
 		cur[p]++
 	}
 	return out
+}
+
+// sigRanks returns the rank of each interned sig, indexed by sig, in
+// (field name, file, line) order. Distinct sigs differ in one of the
+// three, so the ranks are distinct.
+func sigRanks(sigs map[sigKey]int32, fields map[string]int32) []int32 {
+	fieldNames := make([]string, len(fields))
+	for name, fi := range fields {
+		fieldNames[fi] = name
+	}
+	sigKeys := make([]sigKey, len(sigs))
+	order := make([]int32, len(sigs))
+	for sk, sig := range sigs {
+		sigKeys[sig] = sk
+		order[sig] = sig
+	}
+	slices.SortFunc(order, func(x, y int32) int {
+		kx, ky := &sigKeys[x], &sigKeys[y]
+		if c := strings.Compare(fieldNames[kx.field], fieldNames[ky.field]); c != 0 {
+			return c
+		}
+		if c := strings.Compare(kx.pos.File, ky.pos.File); c != 0 {
+			return c
+		}
+		return cmp.Compare(kx.pos.Line, ky.pos.Line)
+	})
+	rank := make([]int32, len(order))
+	for r, sig := range order {
+		rank[sig] = int32(r)
+	}
+	return rank
 }
 
 // isVolatile reports whether the location has atomic access semantics.
@@ -687,43 +744,4 @@ func access(g *shb.Graph, x acc) Access {
 		Pos:    g.Instr(x.node).Pos(),
 		Fn:     g.Func(x.node).Name,
 	}
-}
-
-type raceSig struct {
-	field string
-	aPos  ir.Pos
-	bPos  ir.Pos
-}
-
-// sigOf dedups races by location field and the unordered source-position
-// pair, so one source-level race is reported once regardless of how many
-// abstract objects or origin pairs exhibit it.
-func sigOf(r *Race) raceSig {
-	field := r.Key.Field
-	if r.Key.Static != "" {
-		field = r.Key.Static
-	}
-	a, b := r.A.Pos, r.B.Pos
-	if posLess(b, a) {
-		a, b = b, a
-	}
-	return raceSig{field, a, b}
-}
-
-func posLess(a, b ir.Pos) bool {
-	if a.File != b.File {
-		return a.File < b.File
-	}
-	return a.Line < b.Line
-}
-
-func raceLess(a, b *Race) bool {
-	sa, sb := sigOf(a), sigOf(b)
-	if sa.field != sb.field {
-		return sa.field < sb.field
-	}
-	if sa.aPos != sb.aPos {
-		return posLess(sa.aPos, sb.aPos)
-	}
-	return posLess(sa.bPos, sb.bPos)
 }

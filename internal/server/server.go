@@ -11,6 +11,9 @@
 //	GET  /metrics           Prometheus text exposition (dependency-free)
 //	GET  /debug/pprof/...   runtime profiles (only with WithPprof / `o2 serve -pprof`)
 //
+// A POST /analyze body over corpus.MaxRecordBytes gets 413, and a POST
+// /batch manifest line over it fails the stream.
+//
 // Every request is wrapped by a thin middleware: a request ID is honored
 // from X-Request-ID or generated, echoed back in the response header,
 // threaded into job contexts (sched.RequestIDFrom) and attached to the
@@ -215,9 +218,17 @@ func writeError(w http.ResponseWriter, code int, kind o2.Outcome, format string,
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...), Kind: kind})
 }
 
+// maxBodyBytes caps a POST /analyze body: corpus.MaxRecordBytes, which
+// tests lower.
+var maxBodyBytes int64 = corpus.MaxRecordBytes
+
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			writeError(w, http.StatusRequestEntityTooLarge, o2.OutcomeParse, "request body exceeds %d bytes", maxBodyBytes)
+			return
+		}
 		writeError(w, http.StatusBadRequest, o2.OutcomeParse, "bad request body: %s", err)
 		return
 	}

@@ -204,6 +204,36 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestAnalyzeBodyCap: a body one byte over the cap gets 413 with the
+// usual error body, and the server goes on serving.
+func TestAnalyzeBodyCap(t *testing.T) {
+	defer func(n int64) { maxBodyBytes = n }(maxBodyBytes)
+	maxBodyBytes = 1024
+	ts, _ := newTestServer(t, sched.Options{Workers: 1})
+
+	prefix, suffix := `{"source":"`, `"}`
+	body := prefix + strings.Repeat("x", int(maxBodyBytes)+1-len(prefix)-len(suffix)) + suffix
+	resp, err := http.Post(ts.URL+"/analyze", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(raw, &eb) != nil ||
+		eb.Kind != o2.OutcomeParse || !strings.Contains(eb.Error, "exceeds 1024 bytes") {
+		t.Fatalf("over-cap body: status %s, body %s; want 413 with kind parse", resp.Status, raw)
+	}
+
+	resp, raw = postAnalyze(t, ts.URL, AnalyzeRequest{Source: racySrc, Wait: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the 413: status %s, body %s", resp.Status, raw)
+	}
+}
+
 func TestQueueFull429(t *testing.T) {
 	// Big program + tiny queue: concurrent async submissions must
 	// eventually see 429 with a Retry-After header.
