@@ -10,6 +10,7 @@
 #   ./ci.sh bench-variance  run only the timing-noise gate (emits VARIANCE_ci.json)
 #   ./ci.sh bench-frontend  run one pass of the frontend throughput benchmark
 #   ./ci.sh bench-detect    run one pass of the detection pool and OSA/SHB allocation benchmarks
+#   ./ci.sh bench-serve     run one pass of the served POST /analyze benchmark
 #   ./ci.sh cover           run only the coverage floors
 #   ./ci.sh race            run only the race-detector pass
 #   ./ci.sh smoke           run only the serve/batch end-to-end smoke
@@ -48,6 +49,14 @@ bench_frontend() {
 # informational; nothing is gated on them.
 bench_detect() {
 	go test -run '^$' -bench 'ParallelDetect|DetectAllocs|FrontPhaseAllocs' -benchtime 1x -cpu 1,2 .
+}
+
+# Served requests: one pass of BenchmarkServeAnalyze (POST /analyze with
+# wait through httptest, a cache miss and a cache hit, response read and
+# decoded), so the benchmark keeps building and running. The numbers are
+# informational; nothing is gated on them.
+bench_serve() {
+	go test -run '^$' -bench ServeAnalyze -benchtime 1x -benchmem ./internal/server/
 }
 
 # Precision gate over the ground-truth oracle corpus (internal/truth):
@@ -254,6 +263,10 @@ bench-detect)
 	bench_detect
 	exit 0
 	;;
+bench-serve)
+	bench_serve
+	exit 0
+	;;
 cover)
 	cover
 	exit 0
@@ -276,7 +289,7 @@ eval)
 	;;
 all) ;;
 *)
-	echo "usage: ./ci.sh [bench-gate|bench-variance|bench-frontend|bench-detect|cover|race|smoke|telemetry|eval]" >&2
+	echo "usage: ./ci.sh [bench-gate|bench-variance|bench-frontend|bench-detect|bench-serve|cover|race|smoke|telemetry|eval]" >&2
 	exit 2
 	;;
 esac
@@ -293,3 +306,4 @@ bench_gate
 bench_variance
 bench_frontend
 bench_detect
+bench_serve

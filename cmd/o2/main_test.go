@@ -1,16 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"os"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
 	"o2"
+	"o2/internal/sched"
+	"o2/internal/server"
 )
 
 // TestOutcomeExit pins the 0–6 exit-code contract of the package
@@ -104,4 +110,67 @@ func TestServeBounds(t *testing.T) {
 	if !regexp.MustCompile(`-job-timeout duration\n[^\n]*\(default 5m0s\)`).Match(usage) {
 		t.Errorf("o2 serve -h does not show a 5m -job-timeout default:\n%s", usage)
 	}
+}
+
+// TestSubmitIndents: the server's responses are compact, and `o2
+// submit` prints them two-space indented for people, which the
+// `./ci.sh smoke` greps read.
+func TestSubmitIndents(t *testing.T) {
+	s := sched.New(sched.Options{Workers: 1})
+	ts := httptest.NewServer(server.New(s))
+	defer func() {
+		ts.Close()
+		s.Shutdown(context.Background())
+	}()
+	const dir = "../../testdata/"
+	for _, tc := range []struct {
+		file string
+		code int
+		want []string
+	}{
+		{"smoke_racy.mini", exitRaces, []string{`"race_count": 1`, `"witness": {`}},
+		{"smoke_bad.mini", 3, []string{`"error_kind": "parse"`}},
+	} {
+		code, out := captureStdout(t, func() int { return run([]string{"submit", "-addr", ts.URL, dir + tc.file}) })
+		if code != tc.code {
+			t.Errorf("o2 submit %s: exit %d, want %d", tc.file, code, tc.code)
+		}
+		var view sched.View
+		if err := json.Unmarshal(out, &view); err != nil {
+			t.Fatalf("o2 submit %s: %v\n%s", tc.file, err, out)
+		}
+		want, err := json.MarshalIndent(view, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, append(want, '\n')) {
+			t.Errorf("o2 submit %s does not print two-space-indented JSON:\n%s", tc.file, out)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(string(out), w) {
+				t.Errorf("o2 submit %s: output lacks %s", tc.file, w)
+			}
+		}
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns its result
+// and what it printed.
+func captureStdout(t *testing.T, f func() int) (int, []byte) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	code := f()
+	os.Stdout = stdout
+	w.Close()
+	return code, <-out
 }

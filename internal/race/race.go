@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strings"
@@ -550,9 +551,11 @@ const (
 // Each location's fate is decided once, at its first access node, into a
 // table indexed by location: filtered as not origin-shared, filtered as
 // volatile, or interned as a dense group index in first-seen (node-ID)
-// order. A second pass scatters the surviving accesses into the flat
-// arena in sorted-key group order, preserving node order within each
-// group, and replaces each access's interned sig by its rank in (field
+// order. The first pass marks the surviving access nodes in a bitset and
+// counts them per group, so the arena is allocated at its final size. A
+// second pass over the marked nodes scatters them into the arena in
+// sorted-key group order, preserving node order within each group, and
+// each access's interned sig is then replaced by its rank in (field
 // name, file, line) order. Races are reported by field, then the lower
 // position, then the higher one (the tests' RaceLess), so packed rank
 // pairs sort in report order.
@@ -560,13 +563,10 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 	fate := make([]int32, a.NumNodes())
 	var keys []osa.Key   // dense group index → location key
 	var grpField []int32 // dense group index → field index
+	var counts []int32   // dense group index → surviving accesses
 	fields := map[string]int32{}
-	sigs := map[sigKey]int32{}
-	type tmpAcc struct {
-		grp int32
-		a   acc
-	}
-	var tmp []tmpAcc
+	kept := make([]uint64, (len(g.Nodes)+63)/64) // surviving access nodes
+	total := 0
 	var merged map[uint64]struct{}
 	if opt.RegionMerge {
 		merged = map[uint64]struct{}{}
@@ -603,6 +603,7 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 					fields[name] = fi
 				}
 				grpField = append(grpField, fi)
+				counts = append(counts, 0)
 			}
 			fate[n.Loc] = f
 		}
@@ -631,20 +632,12 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 				continue // merged into the region's representative access
 			}
 		}
-		sk := sigKey{grpField[gi], g.Instr(id).Pos()}
-		sig, ok := sigs[sk]
-		if !ok {
-			sig = int32(len(sigs))
-			sigs[sk] = sig
-		}
-		tmp = append(tmp, tmpAcc{gi, acc{id, sig, w}})
+		kept[id/64] |= 1 << (id % 64)
+		counts[gi]++
+		total++
 	}
 
 	// Sort groups by key and scatter the accesses into the arena.
-	counts := make([]int32, len(keys))
-	for i := range tmp {
-		counts[tmp[i].grp]++
-	}
 	order := make([]int32, len(keys))
 	for i := range order {
 		order[i] = int32(i)
@@ -657,7 +650,7 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 	})
 	out := &grouped{
 		keys: make([]osa.Key, len(keys)),
-		accs: make([]acc, len(tmp)),
+		accs: make([]acc, total),
 		off:  make([]int32, len(keys)+1),
 	}
 	pos := make([]int32, len(keys)) // dense group index → sorted position
@@ -668,13 +661,26 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 	}
 	cur := make([]int32, len(keys))
 	copy(cur, out.off[:len(keys)])
+	sigs := map[sigKey]int32{}
+	for wi, word := range kept {
+		for ; word != 0; word &= word - 1 {
+			id := wi*64 + bits.TrailingZeros64(word)
+			n := &g.Nodes[id]
+			gi := fate[n.Loc] - 1
+			sk := sigKey{grpField[gi], g.Instr(id).Pos()}
+			sig, ok := sigs[sk]
+			if !ok {
+				sig = int32(len(sigs))
+				sigs[sk] = sig
+			}
+			p := pos[gi]
+			out.accs[cur[p]] = acc{id, sig, n.Kind == shb.NWrite}
+			cur[p]++
+		}
+	}
 	rank := sigRanks(sigs, fields)
-	for i := range tmp {
-		p := pos[tmp[i].grp]
-		x := tmp[i].a
-		x.sig = rank[x.sig]
-		out.accs[cur[p]] = x
-		cur[p]++
+	for i := range out.accs {
+		out.accs[i].sig = rank[out.accs[i].sig]
 	}
 	return out
 }

@@ -1,14 +1,16 @@
 // Package sched is the batch-analysis job scheduler: a bounded worker
 // pool that runs full O2 pipelines as jobs, with per-job context
 // deadlines and cancellation, an admission queue with backpressure, a
-// graceful shutdown that drains in-flight jobs, and an LRU result cache
-// keyed by (source hash, config fingerprint) so repeated submissions of
-// unchanged programs complete in microseconds. It is the engine behind
-// `o2 serve` — the RacerD-style deployment shape of a static race
-// detector analyzing many compilation units concurrently.
+// graceful shutdown that drains in-flight jobs, a job table that keeps
+// every live job and the last maxFinished finished ones, and an LRU
+// result cache keyed by (source hash, config fingerprint) so repeated
+// submissions of unchanged programs complete in microseconds. It is the
+// engine behind `o2 serve` — the RacerD-style deployment shape of a
+// static race detector analyzing many compilation units concurrently.
 package sched
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,7 +37,8 @@ var (
 	ErrQueueFull = errors.New("sched: admission queue full")
 	// ErrShutdown is returned by Submit after Shutdown started.
 	ErrShutdown = errors.New("sched: scheduler is shut down")
-	// ErrUnknownJob is returned for job IDs the scheduler has never seen.
+	// ErrUnknownJob is returned for job IDs the scheduler has never seen
+	// or no longer keeps (see maxFinished).
 	ErrUnknownJob = errors.New("sched: unknown job")
 )
 
@@ -177,6 +181,7 @@ type Job struct {
 	// with the request that created it.
 	RequestID string
 
+	seq      int64 // submission order
 	mu       sync.Mutex
 	state    State
 	summary  *Summary
@@ -232,18 +237,20 @@ func (j *Job) Wall() time.Duration {
 	return j.finished.Sub(j.created)
 }
 
-func (j *Job) finish(state State, sum *Summary, err error) {
+// finish moves the job to a terminal state and reports whether it did;
+// a job already in one keeps it. The caller then closes done (see
+// Scheduler.finish).
+func (j *Job) finish(state State, sum *Summary, err error) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state == Done || j.state == Failed || j.state == Canceled {
-		j.mu.Unlock()
-		return
+		return false
 	}
 	j.state = state
 	j.summary = sum
 	j.err = err
 	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
+	return true
 }
 
 // View is a transportable snapshot of a job.
@@ -301,20 +308,33 @@ type Stats struct {
 	CacheEntries   int   `json:"cache_entries"`
 }
 
+// maxFinished bounds the finished jobs a Scheduler keeps; queued and
+// running jobs are always kept. Past it the job that finished first is
+// forgotten: Get reports it unknown, while a caller that holds the *Job
+// can still read it. Tests lower it.
+var maxFinished = 1024
+
+// task is a queued job with its request and the cache key computed at
+// admission ("" when caching is off).
+type task struct {
+	job *Job
+	req Request
+	key string
+}
+
 // Scheduler is the bounded-worker batch analysis service.
 type Scheduler struct {
 	opts Options
 	// queue is the bounded admission queue. Sends (Submit) and its close
 	// (Shutdown) both happen under mu, so a send never meets a closed
 	// channel.
-	queue chan *Job
+	queue chan task
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	reqs   map[string]Request // pending request payloads, removed once run
-	order  []string
-	closed bool
-	seq    int64
+	mu       sync.Mutex
+	jobs     map[string]*Job // every live job and the finished ones kept
+	finished []*Job          // the finished jobs kept, in finishing order
+	closed   bool
+	seq      int64
 
 	cache *lru
 	wg    sync.WaitGroup
@@ -332,9 +352,8 @@ func New(opts Options) *Scheduler {
 	opts = opts.withDefaults()
 	s := &Scheduler{
 		opts:  opts,
-		queue: make(chan *Job, opts.QueueDepth),
+		queue: make(chan task, opts.QueueDepth),
 		jobs:  map[string]*Job{},
-		reqs:  map[string]Request{},
 	}
 	if opts.CacheEntries > 0 {
 		s.cache = newLRU(opts.CacheEntries)
@@ -350,7 +369,8 @@ func New(opts Options) *Scheduler {
 // (filename, source) pairs combined with the config fingerprint. Two
 // requests collide only if both the full source hash and every
 // report-affecting config field agree. The cache lives in process
-// memory, so only this binary's results can ever be looked up.
+// memory, so only this binary's results can ever be looked up. Submit
+// computes it once and the queued task carries it to runJob.
 func cacheKey(req Request) string {
 	h := sha256.New()
 	names := make([]string, 0, len(req.Files))
@@ -394,12 +414,12 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 		ID:        fmt.Sprintf("job-%06d", s.seq),
 		Label:     req.Label,
 		RequestID: req.RequestID,
+		seq:       s.seq,
 		state:     Queued,
 		created:   time.Now(),
 		done:      make(chan struct{}),
 	}
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
 	s.mu.Unlock()
 
 	// Cache lookup before admission: a hit never consumes a worker or a
@@ -407,11 +427,13 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	// identical requests submitted back-to-back — before the first one
 	// finished — still hit once the first result lands. Misses are
 	// counted there, when a job actually runs.
+	var key string
 	if s.cache != nil {
-		if sum, ok := s.cache.get(cacheKey(req)); ok {
+		key = cacheKey(req)
+		if sum, ok := s.cache.get(key); ok {
 			s.submitted.Add(1)
 			s.completed.Add(1)
-			j.finish(Done, sum.withCached(), nil)
+			s.finish(j, Done, sum.withCached(), nil)
 			s.log("job cache hit", j, "races", len(sum.Races))
 			return j, nil
 		}
@@ -422,7 +444,7 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	err := ErrShutdown
 	if !s.closed {
 		select {
-		case s.queue <- j:
+		case s.queue <- task{j, req, key}:
 			err = nil
 		default:
 			err = ErrQueueFull
@@ -434,14 +456,14 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 		s.rejected.Add(1)
 		return nil, err
 	}
-	s.reqs[j.ID] = req
 	s.mu.Unlock()
 	s.submitted.Add(1)
 	s.log("job queued", j, "files", len(req.Files))
 	return j, nil
 }
 
-// Get returns a job by ID.
+// Get returns a job by ID: a live job, or a finished one the scheduler
+// still keeps.
 func (s *Scheduler) Get(id string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -452,7 +474,9 @@ func (s *Scheduler) Get(id string) (*Job, error) {
 	return j, nil
 }
 
-// Wait blocks until the job finishes or ctx ends.
+// Wait blocks until the job finishes or ctx ends. The job is looked up
+// by ID, so one the scheduler no longer keeps is ErrUnknownJob; a caller
+// holding the *Job waits on Done instead.
 func (s *Scheduler) Wait(ctx context.Context, id string) (*Job, error) {
 	j, err := s.Get(id)
 	if err != nil {
@@ -481,8 +505,9 @@ func (s *Scheduler) Cancel(id string) bool {
 		j.err = o2.ErrCanceled
 		j.finished = time.Now()
 		j.mu.Unlock()
-		close(j.done)
 		s.canceled.Add(1)
+		s.retire(j)
+		close(j.done)
 		return true
 	case Running:
 		cancel := j.cancel
@@ -496,17 +521,11 @@ func (s *Scheduler) Cancel(id string) bool {
 	return false
 }
 
-// Jobs returns snapshots of every known job in submission order.
+// Jobs returns snapshots of the jobs the scheduler keeps, in submission
+// order.
 func (s *Scheduler) Jobs() []View {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := s.jobs[id]; ok {
-			jobs = append(jobs, j)
-		}
-	}
-	s.mu.Unlock()
+	jobs := s.kept()
+	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]View, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.View()
@@ -531,20 +550,48 @@ func (s *Scheduler) log(msg string, j *Job, args ...any) {
 	s.opts.Log.Info(msg, attrs...)
 }
 
-// StateCounts returns the number of known jobs in each lifecycle state —
+// StateCounts returns the number of kept jobs in each lifecycle state —
 // the `o2_sched_jobs{state="..."}` gauge behind GET /metrics.
 func (s *Scheduler) StateCounts() map[State]int {
+	counts := map[State]int{Queued: 0, Running: 0, Done: 0, Failed: 0, Canceled: 0}
+	for _, j := range s.kept() {
+		counts[j.State()]++
+	}
+	return counts
+}
+
+// kept returns the jobs the scheduler keeps, in no particular order.
+func (s *Scheduler) kept() []*Job {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
 	}
-	s.mu.Unlock()
-	counts := map[State]int{Queued: 0, Running: 0, Done: 0, Failed: 0, Canceled: 0}
-	for _, j := range jobs {
-		counts[j.State()]++
+	return jobs
+}
+
+// finish moves j to a terminal state, retires it and closes Done, in
+// that order, so a caller woken by Done finds the job table accounting
+// for it.
+func (s *Scheduler) finish(j *Job, state State, sum *Summary, err error) {
+	if j.finish(state, sum, err) {
+		s.retire(j)
+		close(j.done)
 	}
-	return counts
+}
+
+// retire records that j finished and forgets the jobs that finished
+// first while more than maxFinished are kept.
+func (s *Scheduler) retire(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, j)
+	for len(s.finished) > maxFinished {
+		delete(s.jobs, s.finished[0].ID)
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+	}
 }
 
 // Stats snapshots the scheduler counters.
@@ -608,19 +655,14 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
-		s.mu.Lock()
-		req, ok := s.reqs[j.ID]
-		delete(s.reqs, j.ID)
-		s.mu.Unlock()
-		if !ok || j.State() != Queued {
-			continue // canceled while queued
-		}
-		s.runJob(j, req)
+	for t := range s.queue {
+		s.runJob(t.job, t.req, t.key)
 	}
 }
 
-func (s *Scheduler) runJob(j *Job, req Request) {
+// runJob runs a queued job, unless it was canceled while queued; key is
+// its cache key from admission.
+func (s *Scheduler) runJob(j *Job, req Request, key string) {
 	timeout := req.Timeout
 	if timeout == 0 {
 		timeout = s.opts.DefaultTimeout
@@ -650,11 +692,10 @@ func (s *Scheduler) runJob(j *Job, req Request) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 
-	key := cacheKey(req)
 	if s.cache != nil {
 		if sum, ok := s.cache.get(key); ok {
 			s.completed.Add(1)
-			j.finish(Done, sum.withCached(), nil)
+			s.finish(j, Done, sum.withCached(), nil)
 			return
 		}
 		s.cache.miss()
@@ -676,15 +717,15 @@ func (s *Scheduler) runJob(j *Job, req Request) {
 			s.cache.put(key, sum)
 		}
 		s.completed.Add(1)
-		j.finish(Done, sum, nil)
+		s.finish(j, Done, sum, nil)
 		s.log("job done", j, "races", len(sum.Races), "wall", j.Wall())
 	case o2.OutcomeCanceled:
 		s.canceled.Add(1)
-		j.finish(Canceled, nil, err)
+		s.finish(j, Canceled, nil, err)
 		s.log("job canceled", j, "wall", j.Wall())
 	default:
 		s.failed.Add(1)
-		j.finish(Failed, nil, err)
+		s.finish(j, Failed, nil, err)
 		s.log("job failed", j, "kind", string(kind), "error", err, "wall", j.Wall())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -507,14 +508,143 @@ func TestSubmitSources(t *testing.T) {
 	}
 }
 
-// TestCacheKeyStable: the key is stable for identical requests and
-// distinct across sources.
+// TestCacheKeyStable: the key is stable for identical requests,
+// distinct across sources, and pinned to its hex bytes for one fixed
+// two-file request, so a change to how the key is built shows.
 func TestCacheKeyStable(t *testing.T) {
 	if cacheKey(req(racySrc)) != cacheKey(req(racySrc)) {
 		t.Error("identical requests must share a cache key")
 	}
 	if cacheKey(req(racySrc)) == cacheKey(req(cleanSrc)) {
 		t.Error("different sources must not share a cache key")
+	}
+	r := Request{Files: map[string]string{"z.mini": cleanSrc, "a.mini": racySrc}, Config: o2.DefaultConfig()}
+	r.Config.Android = true
+	const want = "e23c20e36a08f3c9f12309c46331b45e1556f019359793debc651b03e67eb508"
+	if got := cacheKey(r); got != want {
+		t.Errorf("cacheKey = %s, want %s", got, want)
+	}
+}
+
+// withMaxFinished lowers the finished-job cap for one test.
+func withMaxFinished(t *testing.T, n int) {
+	old := maxFinished
+	maxFinished = n
+	t.Cleanup(func() { maxFinished = old })
+}
+
+func jobIDs(views []View) []string {
+	ids := make([]string, len(views))
+	for i, v := range views {
+		ids[i] = v.ID
+	}
+	return ids
+}
+
+// TestJobTableBounded: past maxFinished finished jobs the scheduler
+// forgets the job that finished first, so Get, Jobs and StateCounts see
+// at most the cap.
+func TestJobTableBounded(t *testing.T) {
+	const keep, extra = 4, 6
+	withMaxFinished(t, keep)
+	s := New(Options{Workers: 1})
+	defer s.Shutdown(context.Background())
+
+	var ids []string
+	for i := 0; i < keep+extra; i++ {
+		j, err := s.Submit(req(racySrc)) // the first runs, the rest hit the cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		ids = append(ids, j.ID)
+		if n := len(s.Jobs()); n > keep {
+			t.Fatalf("after %d jobs Jobs() lists %d, want at most %d", i+1, n, keep)
+		}
+	}
+	for _, id := range ids[:extra] {
+		if _, err := s.Get(id); !errors.Is(err, ErrUnknownJob) {
+			t.Errorf("Get(%s) = %v, want ErrUnknownJob after eviction", id, err)
+		}
+	}
+	if got := jobIDs(s.Jobs()); !slices.Equal(got, ids[extra:]) {
+		t.Errorf("Jobs() = %v, want the last %d: %v", got, keep, ids[extra:])
+	}
+	counts := s.StateCounts()
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	if counts[Done] != keep || total != keep {
+		t.Errorf("StateCounts = %v, want %d done and nothing else", counts, keep)
+	}
+}
+
+// TestJobTableKeepsLiveJobs: eviction takes only finished jobs, in the
+// order they finished; a running and a queued job stay however many
+// jobs finish after them, and a caller holding an evicted *Job can
+// still read it.
+func TestJobTableKeepsLiveJobs(t *testing.T) {
+	withMaxFinished(t, 2)
+	s := New(Options{Workers: 1, QueueDepth: 4})
+	defer s.Shutdown(context.Background())
+	submit := func(r Request) *Job {
+		t.Helper()
+		j, err := s.Submit(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+
+	first := submit(req(racySrc))
+	waitDone(t, first) // racySrc is cached from here on
+	running := submit(Request{Files: map[string]string{"big.mini": genSource(320)}, Config: o2.DefaultConfig()})
+	for running.State() == Queued {
+		time.Sleep(time.Millisecond)
+	}
+	queued := submit(req(cleanSrc))
+	var hits []*Job
+	for i := 0; i < 5; i++ {
+		j := submit(req(racySrc))
+		if j.State() != Done {
+			t.Fatalf("cache hit %d: state %s", i, j.State())
+		}
+		hits = append(hits, j)
+	}
+	if running.State() != Running || queued.State() != Queued {
+		t.Fatalf("states %s/%s, want running/queued: the blocker finished too soon", running.State(), queued.State())
+	}
+	want := []string{running.ID, queued.ID, hits[3].ID, hits[4].ID}
+	if got := jobIDs(s.Jobs()); !slices.Equal(got, want) {
+		t.Fatalf("Jobs() = %v, want %v", got, want)
+	}
+	if c := s.StateCounts(); c[Running] != 1 || c[Queued] != 1 || c[Done] != 2 {
+		t.Fatalf("StateCounts = %v, want 1 running, 1 queued, 2 done", c)
+	}
+	if _, err := s.Get(first.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("Get(first) = %v, want ErrUnknownJob", err)
+	}
+	if v := first.View(); v.State != Done || v.RaceCnt != 1 {
+		t.Fatalf("evicted job's view = %+v", v)
+	}
+
+	// Cancel the queued job, then the running one: they finish last, so
+	// the cache hits go first, and then the queued job although it was
+	// submitted after the running one.
+	s.Cancel(queued.ID)
+	waitDone(t, queued)
+	s.Cancel(running.ID)
+	waitDone(t, running)
+	if got := jobIDs(s.Jobs()); !slices.Equal(got, []string{running.ID, queued.ID}) {
+		t.Fatalf("after both canceled Jobs() = %v", got)
+	}
+	waitDone(t, submit(req(racySrc)))
+	if _, err := s.Get(queued.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("Get(queued) = %v, want ErrUnknownJob: it finished first", err)
+	}
+	if _, err := s.Get(running.ID); err != nil {
+		t.Errorf("Get(running) = %v: it finished after the queued job", err)
 	}
 }
 

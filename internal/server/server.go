@@ -5,14 +5,16 @@
 //	POST /batch             stream an NDJSON corpus manifest; one NDJSON record per program
 //	GET  /jobs/{id}         poll a job (?trace=1 returns the Chrome trace of its run)
 //	GET  /jobs/{id}/events  stream live progress heartbeats as NDJSON (chunked)
-//	GET  /jobs              list all jobs
+//	GET  /jobs              list the jobs the scheduler keeps
 //	GET  /healthz           liveness
 //	GET  /statsz            scheduler + cache counters, uptime, build info, obs snapshot
 //	GET  /metrics           Prometheus text exposition (dependency-free)
 //	GET  /debug/pprof/...   runtime profiles (only with WithPprof / `o2 serve -pprof`)
 //
-// A POST /analyze body over corpus.MaxRecordBytes gets 413, and a POST
-// /batch manifest line over it fails the stream.
+// JSON responses are compact, one value and a newline; `o2 submit` and
+// jq indent them for people. A POST /analyze body over
+// corpus.MaxRecordBytes gets 413, and a POST /batch manifest line over
+// it fails the stream.
 //
 // Every request is wrapped by a thin middleware: a request ID is honored
 // from X-Request-ID or generated, echoed back in the response header,
@@ -206,12 +208,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeJSON writes v compactly: json.Marshal's bytes and a newline.
+// Indenting is left to the tools that print for people (`o2 submit`,
+// jq), since it would double the bytes every client reads and decodes.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, kind o2.Outcome, format string, args ...any) {
@@ -273,9 +276,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Wait {
-		if _, err := s.sched.Wait(r.Context(), job.ID); err != nil {
+		// Wait on the job itself: once finished it may leave the
+		// scheduler's job table before this request reads it.
+		select {
+		case <-job.Done():
+		case <-r.Context().Done():
 			// Client went away; the job keeps running server-side.
-			writeError(w, http.StatusRequestTimeout, o2.OutcomeCanceled, "wait interrupted: %s", err)
+			writeError(w, http.StatusRequestTimeout, o2.OutcomeCanceled, "wait interrupted: %s", r.Context().Err())
 			return
 		}
 		writeJSON(w, http.StatusOK, job.View())

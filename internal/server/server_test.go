@@ -897,3 +897,107 @@ func TestPprofGated(t *testing.T) {
 		t.Fatalf("pprof index body unexpected:\n%.200s", body)
 	}
 }
+
+// checkCompact requires raw to be a JSON response exactly as writeJSON
+// promises it: json.Marshal of the value it decodes to, as a T, and one
+// newline. Indentation or any other whitespace fails the comparison.
+func checkCompact[T any](t *testing.T, what string, resp *http.Response, raw []byte) {
+	t.Helper()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("%s: content type %q", what, ct)
+	}
+	var v T
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("%s: %v\n%s", what, err, raw)
+	}
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+	if !bytes.Equal(raw, want) {
+		t.Errorf("%s: response is not compact JSON\n got: %.400s\nwant: %.400s", what, raw, want)
+	}
+}
+
+func get(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
+}
+
+// TestWireFormatCompact: every JSON response — job views, the job list,
+// /statsz, /healthz and the error bodies — is compact.
+func TestWireFormatCompact(t *testing.T) {
+	ts, _ := newTestServer(t, sched.Options{Workers: 1, CollectStats: true})
+
+	resp, raw := postAnalyze(t, ts.URL, AnalyzeRequest{Source: racySrc, Wait: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze with wait: status %s", resp.Status)
+	}
+	checkCompact[sched.View](t, "POST /analyze 200", resp, raw)
+	var view sched.View
+	if err := json.Unmarshal(raw, &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.Summary == nil || view.Summary.Stats == nil || view.Summary.Races[0].Witness == nil {
+		t.Fatal("the 200 body should carry races, witnesses and RunStats")
+	}
+
+	resp, raw = postAnalyze(t, ts.URL, AnalyzeRequest{Source: cleanSrc})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("analyze: status %s, want 202", resp.Status)
+	}
+	checkCompact[sched.View](t, "POST /analyze 202", resp, raw)
+
+	resp, raw = get(t, ts.URL+"/jobs/"+view.ID)
+	checkCompact[sched.View](t, "GET /jobs/{id}", resp, raw)
+	resp, raw = get(t, ts.URL+"/jobs")
+	checkCompact[[]sched.View](t, "GET /jobs", resp, raw)
+	resp, raw = get(t, ts.URL+"/statsz")
+	checkCompact[statszBody](t, "GET /statsz", resp, raw)
+	resp, raw = get(t, ts.URL+"/healthz")
+	checkCompact[map[string]string](t, "GET /healthz", resp, raw)
+
+	resp, raw = postAnalyze(t, ts.URL, AnalyzeRequest{Source: racySrc, Config: ConfigRequest{Context: "psychic"}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad policy: status %s, want 400", resp.Status)
+	}
+	checkCompact[errorBody](t, "400", resp, raw)
+	resp, raw = get(t, ts.URL+"/jobs/job-999999")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown job: status %s, want 404", resp.Status)
+	}
+	checkCompact[errorBody](t, "404", resp, raw)
+
+	func() {
+		defer func(n int64) { maxBodyBytes = n }(maxBodyBytes)
+		maxBodyBytes = 64
+		resp, raw = postAnalyze(t, ts.URL, AnalyzeRequest{Source: racySrc})
+	}()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap body: status %s, want 413", resp.Status)
+	}
+	checkCompact[errorBody](t, "413", resp, raw)
+
+	full, _ := newTestServer(t, sched.Options{Workers: 1, QueueDepth: 1, CacheEntries: -1})
+	big := genSource(200)
+	for i := 0; ; i++ {
+		resp, raw = postAnalyze(t, full.URL, AnalyzeRequest{Source: big})
+		if resp.StatusCode == http.StatusTooManyRequests {
+			break
+		}
+		if resp.StatusCode != http.StatusAccepted || i == 20 {
+			t.Fatalf("submission %d: status %s, want 202 until a 429", i, resp.Status)
+		}
+	}
+	checkCompact[errorBody](t, "429", resp, raw)
+}
