@@ -162,6 +162,45 @@ func TestAnalyzeCorpusMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestAnalyzeCorpusTwiceIdentical streams the truth corpus twice through
+// four workers in one process. The second pass runs in the solver and
+// detection state the first left in the pools, on whichever worker takes
+// it, and must report exactly what the first did: the same races,
+// witnesses, counters and graph sizes for every program.
+func TestAnalyzeCorpusTwiceIdentical(t *testing.T) {
+	programs, err := truth.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := make([]o2.Source, len(programs))
+	for i, p := range programs {
+		srcs[i] = p.AsSource()
+	}
+	pass := func() []string {
+		var digests []string
+		_, err := o2.AnalyzeCorpus(context.Background(), o2.SliceSources(srcs), corpusCfg(4), func(cr o2.CorpusResult) error {
+			if cr.Err != nil {
+				return fmt.Errorf("%s: %w", cr.Name, cr.Err)
+			}
+			digests = append(digests, cr.Name+" "+o2.ReportDigest(t, cr.Result))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digests
+	}
+	first, second := pass(), pass()
+	if len(first) != len(programs) || len(second) != len(programs) {
+		t.Fatalf("passes emitted %d and %d of %d programs", len(first), len(second), len(programs))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Errorf("second pass differs: %s, first pass %s", second[i], first[i])
+		}
+	}
+}
+
 // TestAnalyzeCorpusBoundedMemory streams a 1000-program corpus through a
 // small window and samples the live heap along the way: peak live memory
 // must stay bounded by the window, not grow with the corpus. The ceiling

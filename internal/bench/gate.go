@@ -153,7 +153,11 @@ func RunGate(o Opts) (*GateReport, error) {
 		// landing mid-phase perturbs growth reallocation counts), far too
 		// noisy for the 10% budget gate. With GC off they repeat to ±0.5%.
 		// Each preset's pipeline peaks at a few MB, so running it
-		// uncollected is safe.
+		// uncollected is safe. Two collections empty every sync.Pool
+		// (the first moves pooled objects to a victim cache, the second
+		// frees them), so each preset is measured cold, whatever ran
+		// before it.
+		runtime.GC()
 		runtime.GC()
 		oldGC := debug.SetGCPercent(-1)
 		pl := RunPipeline(p, POPA, run)

@@ -66,6 +66,7 @@ type CallGraph struct {
 	// while the solver runs, then stably sorted by InstrIdx (sortOut).
 	out [][]Edge
 	// big dedups the edges of callers with at least smallOut of them.
+	// It is the solver's (solver.big), held only while the solver runs.
 	big   map[Edge]struct{}
 	Edges int
 }

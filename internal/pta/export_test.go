@@ -4,4 +4,4 @@ package pta
 func NodeString(a *Analysis, id NodeID) string { return a.heap.nodeString(id, a.ctxs) }
 
 // NodePointsTo returns the points-to set of any PAG node.
-func NodePointsTo(a *Analysis, id NodeID) *Bits { return &a.nodes.at(id).pts }
+func NodePointsTo(a *Analysis, id NodeID) *Bits { return a.pts.at(id) }

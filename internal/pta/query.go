@@ -80,7 +80,7 @@ func (a *Analysis) PointsTo(v *ir.Var, ctx CtxID) *Bits {
 // fc, whose function must be v's; see PointsTo.
 func (a *Analysis) PointsToIn(fc FnCtxID, v *ir.Var) *Bits {
 	if vars := a.fnVars[fc]; v.ID < len(vars) && vars[v.ID] != 0 {
-		return &a.nodes.at(vars[v.ID] - 1).pts
+		return a.pts.at(vars[v.ID] - 1)
 	}
 	return &emptyBits
 }
@@ -88,7 +88,7 @@ func (a *Analysis) PointsToIn(fc FnCtxID, v *ir.Var) *Bits {
 // FieldPointsTo returns the points-to set of ⟨obj⟩.field.
 func (a *Analysis) FieldPointsTo(obj ObjID, field string) *Bits {
 	if id, ok := a.FieldNode(obj, field); ok {
-		return &a.nodes.at(id).pts
+		return a.pts.at(id)
 	}
 	return &emptyBits
 }
@@ -96,7 +96,7 @@ func (a *Analysis) FieldPointsTo(obj ObjID, field string) *Bits {
 // StaticPointsTo returns the points-to set of static field "Class.field".
 func (a *Analysis) StaticPointsTo(sig string) *Bits {
 	if id, ok := a.StaticNode(sig); ok {
-		return &a.nodes.at(id).pts
+		return a.pts.at(id)
 	}
 	return &emptyBits
 }
@@ -253,7 +253,7 @@ func (a *Analysis) MainNode() FnCtxID {
 func (a *Analysis) ForEachFieldNode(fn func(obj ObjID, field string, pts *Bits)) {
 	for id := range NodeID(a.heap.nodes.len()) {
 		if n := a.heap.nodes.at(id); n.kind == nodeField {
-			fn(n.obj, a.heap.fieldNames[n.field], &a.nodes.at(id).pts)
+			fn(n.obj, a.heap.fieldNames[n.field], a.pts.at(id))
 		}
 	}
 }
@@ -263,7 +263,7 @@ func (a *Analysis) ForEachFieldNode(fn func(obj ObjID, field string, pts *Bits))
 func (a *Analysis) ForEachStaticNode(fn func(sig string, pts *Bits)) {
 	for id := range NodeID(a.heap.nodes.len()) {
 		if n := a.heap.nodes.at(id); n.kind == nodeStatic {
-			fn(a.heap.fieldNames[n.field], &a.nodes.at(id).pts)
+			fn(a.heap.fieldNames[n.field], a.pts.at(id))
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"o2/internal/ir"
@@ -81,12 +82,12 @@ type callC struct {
 	idx    int // instruction index in caller body
 }
 
-// pnode is the solver state of one PAG node.
+// pnode is the solver state of one PAG node; its points-to set is in
+// Analysis.pts.
 type pnode struct {
-	pts   Bits
 	delta Bits // objects added since the node was last processed
 	succ  []NodeID
-	cons  uint32 // 1 + index into Analysis.cons; 0 when nothing is based here
+	cons  uint32 // 1 + index into solver.cons; 0 when nothing is based here
 	inWL  bool
 }
 
@@ -100,13 +101,14 @@ type nodeCons struct {
 
 // smallSucc is the successor count up to which addEdge dedups by scanning
 // the node's successor list; from it on, the node's edges live in
-// Analysis.edges. Most nodes never reach it.
+// solver.edges. Most nodes never reach it.
 const smallSucc = 16
 
 func edgeKey(from, to NodeID) uint64 { return uint64(from)<<32 | uint64(to) }
 
-// Analysis holds all state of one pointer-analysis run and is the query
-// interface used by OSA, SHB construction and the race detector.
+// Analysis holds the result of one pointer-analysis run and is the query
+// interface used by OSA, SHB construction and the race detector. While
+// SolveCtx runs it also holds the solver's working state (solver).
 type Analysis struct {
 	Prog    *ir.Program
 	Cfg     Config
@@ -116,29 +118,57 @@ type Analysis struct {
 	ctxs *ctxTable
 	heap *heap
 
-	// nodes holds each node's solver state, parallel to heap.nodes; an
-	// element never moves, so a *pnode stays valid while nodes are made.
+	// pts holds each node's points-to set, parallel to heap.nodes; an
+	// element never moves, so a *Bits stays valid while nodes are made.
+	pts table[NodeID, Bits]
+	// fnVars maps FnCtxID, then ir.Var.ID, to the variable's node + 1
+	// (0: not created yet). Each table has one slot per local of its
+	// call-graph node's function. markReachable makes it when the
+	// call-graph node is created, so a node is new exactly when its ID
+	// equals len(fnVars). The tables are carved from varLists, which the
+	// analysis keeps.
+	fnVars   [][]NodeID
+	varLists slab[NodeID]
+	// fnFields maps FnCtxID, then instruction index, to the field the
+	// instruction accesses: the field name of a field access, ir.ArrayField,
+	// ChanElemField or a static signature. A function's contexts share
+	// one table, made by fieldsOf in markReachable.
+	fnFields [][]fieldID
+
+	steps       int64
+	iterations  int64 // worklist pops (constraint generations + node processings)
+	constraints int64 // load/store/call/edge constraints registered
+	numEdges    int
+	err         error
+
+	// *solver is the working state while SolveCtx runs, nil otherwise.
+	*solver
+}
+
+// solver is the working state of a solve: what SolveCtx reads and
+// writes but no query reads once it returns. SolveCtx takes one from
+// solverPool and puts it back on every exit, so a later solve in the
+// process reuses its tables, maps and slab chunks.
+type solver struct {
+	// nodes holds each node's solver state, parallel to Analysis.pts.
 	nodes table[NodeID, pnode]
 	cons  table[uint32, nodeCons] // pnode.cons-1 -> constraints based on that node
 	// edges dedups the edges of nodes with at least smallSucc
 	// successors (edgeKey).
 	edges map[uint64]struct{}
-	// fnVars maps FnCtxID, then ir.Var.ID, to the variable's node + 1
-	// (0: not created yet). Each table has one slot per local of its
-	// call-graph node's function. markReachable makes it when the
-	// call-graph node is created, so a node is new exactly when its ID
-	// equals len(fnVars).
-	fnVars [][]NodeID
-	// fnFields maps FnCtxID, then instruction index, to the field the
-	// instruction accesses: the field name of a field access, ir.ArrayField,
-	// ChanElemField or a static signature. A function's contexts share
-	// one table, made by fieldsOf in markReachable; funcFields holds it
-	// by function.
-	fnFields   [][]fieldID
+	// big is CallGraph.big, which the call graph holds while the solver
+	// runs.
+	big map[Edge]struct{}
+	// funcFields holds each reachable function's fnFields table.
 	funcFields map[*ir.Func][]fieldID
+	// hasOriginAlloc marks functions that directly contain an origin
+	// allocation; under the KOrigin policy such functions are analyzed with
+	// one extra call-site context element, implementing the paper's
+	// "wrapper functions" k=1 call-site extension of origin entry points.
+	hasOriginAlloc map[*ir.Func]bool
 
-	// Per-node successor and constraint lists and the fnVars tables are
-	// carved from these slabs.
+	// Per-node successor and constraint lists are carved from these
+	// slabs.
 	nodeLists  slab[NodeID]
 	loadLists  slab[loadC]
 	storeLists slab[storeC]
@@ -147,45 +177,84 @@ type Analysis struct {
 	fnWL []FnCtxID
 	wl   []NodeID
 
-	// hasOriginAlloc marks functions that directly contain an origin
-	// allocation; under the KOrigin policy such functions are analyzed with
-	// one extra call-site context element, implementing the paper's
-	// "wrapper functions" k=1 call-site extension of origin entry points.
-	hasOriginAlloc map[*ir.Func]bool
-
-	steps       int64
-	iterations  int64 // worklist pops (constraint generations + node processings)
-	constraints int64 // load/store/call/edge constraints registered
-	numEdges    int
-	ctx         context.Context
-	latch       *Latch // trips when ctx ends; nil when ctx is not cancellable
-	err         error
+	ctx   context.Context
+	latch *Latch // trips when ctx ends; nil when ctx is not cancellable
 
 	replayScratch []uint64 // replayObjs' reusable snapshot of a spilled set's words
 }
 
-// New creates an analysis for the (finalized) program.
-func New(prog *ir.Program, cfg Config) *Analysis {
-	a := &Analysis{
-		Prog:           prog,
-		Cfg:            cfg,
-		CG:             newCallGraph(),
-		Origins:        newOriginTable(),
-		ctxs:           newCtxTable(),
-		heap:           newHeap(),
+// solverPool holds the working state of finished solves.
+var solverPool = sync.Pool{New: func() any {
+	return &solver{
 		edges:          map[uint64]struct{}{},
 		funcFields:     map[*ir.Func][]fieldID{},
 		hasOriginAlloc: map[*ir.Func]bool{},
 	}
-	for _, f := range prog.Funcs {
+}}
+
+// inScale reports whether s is worth keeping after a solve. A node table
+// that only this solve grew holds fewer than twice the nodes it used, or
+// one chunk, because its chunks double; one holding more than four times
+// as many was grown by a solve at least twice as large. Dropping such a
+// state keeps a huge program's tables from staying pinned in a process
+// that goes on to solve small ones.
+func (s *solver) inScale() bool {
+	return s.nodes.cap() <= 4*max(s.nodes.len(), firstChunk)
+}
+
+// reset empties s for the next solve, keeping what it allocated.
+func (s *solver) reset() {
+	s.nodes.reset()
+	s.cons.reset()
+	clear(s.edges)
+	clear(s.big)
+	clear(s.funcFields)
+	clear(s.hasOriginAlloc)
+	s.nodeLists.reset()
+	s.loadLists.reset()
+	s.storeLists.reset()
+	s.callLists.reset()
+	s.fnWL, s.wl = s.fnWL[:0], s.wl[:0]
+	s.ctx, s.latch = nil, nil
+}
+
+// takeSolver gives a its working state for a solve.
+func (a *Analysis) takeSolver() {
+	s := solverPool.Get().(*solver)
+	a.solver = s
+	a.CG.big = s.big
+	for _, f := range a.Prog.Funcs {
 		for _, in := range f.Body {
 			if al, ok := in.(*ir.Alloc); ok && a.isOriginClass(al.Class) {
-				a.hasOriginAlloc[f] = true
+				s.hasOriginAlloc[f] = true
 				break
 			}
 		}
 	}
-	return a
+}
+
+// putSolver takes the working state back from a and returns it to
+// solverPool, unless it is out of scale with the solve (inScale).
+func (a *Analysis) putSolver() {
+	s := a.solver
+	a.solver = nil
+	s.big, a.CG.big = a.CG.big, nil
+	if s.inScale() {
+		s.reset()
+		solverPool.Put(s)
+	}
+}
+
+// New creates an analysis for the (finalized) program.
+func New(prog *ir.Program, cfg Config) *Analysis {
+	return &Analysis{
+		Prog:    prog,
+		Cfg:     cfg,
+		CG:      newCallGraph(),
+		Origins: newOriginTable(),
+		ctxs:    newCtxTable(),
+		heap:    newHeap(),
+	}
 }
 
 // Solve runs the analysis to fixpoint. It may return ErrBudget.
@@ -195,11 +264,14 @@ func (a *Analysis) Solve() error { return a.SolveCtx(context.Background()) }
 // polled at every budget check (one atomic load of a Latch), so SolveCtx
 // returns promptly after the context ends: ErrCanceled on
 // cancellation, ErrBudget when the context deadline (or Config.TimeBudget,
-// which derives one) expires.
+// which derives one) expires. The solver's working state comes from a
+// pool and goes back to it on every exit.
 func (a *Analysis) SolveCtx(ctx context.Context) error {
 	sp := a.Cfg.Obs.StartSpan("pta")
+	a.takeSolver()
 	defer func() {
 		a.CG.sortOut()
+		a.putSolver()
 		a.recordObs()
 		sp.End()
 	}()
@@ -263,8 +335,8 @@ func (a *Analysis) recordObs() {
 	// Distribution of non-empty points-to set sizes: the quantity that
 	// governs both precision (aliasing resolution) and propagation cost.
 	h := reg.Histogram("pta.points_to_size", obs.SizeBuckets)
-	for id := range NodeID(a.nodes.len()) {
-		if n := a.nodes.at(id).pts.Len(); n > 0 {
+	for id := range NodeID(a.pts.len()) {
+		if n := a.pts.at(id).Len(); n > 0 {
 			h.Observe(float64(n))
 		}
 	}
@@ -290,10 +362,11 @@ func (a *Analysis) isOriginClass(c *ir.Class) bool { return c.IsThread || c.IsEv
 
 // ---- node/pts management ----
 
-// ensureNode gives node id solver state in a.nodes, the table parallel
-// to heap.nodes, and returns id.
+// ensureNode gives node id a points-to set in a.pts and solver state in
+// a.nodes, the tables parallel to heap.nodes, and returns id.
 func (a *Analysis) ensureNode(id NodeID) NodeID {
-	for a.nodes.len() <= int(id) {
+	for a.pts.len() <= int(id) {
+		a.pts.push(Bits{})
 		a.nodes.push(pnode{})
 	}
 	return id
@@ -336,18 +409,18 @@ func (a *Analysis) enqueue(n NodeID) {
 }
 
 func (a *Analysis) addObj(n NodeID, o ObjID) {
-	if p := a.nodes.at(n); p.pts.Add(uint32(o)) {
-		p.delta.Add(uint32(o))
+	if a.pts.at(n).Add(uint32(o)) {
+		a.nodes.at(n).delta.Add(uint32(o))
 		a.enqueue(n)
 	}
 }
 
 func (a *Analysis) addSet(n NodeID, s *Bits) {
-	p := a.nodes.at(n)
+	pts, p := a.pts.at(n), a.nodes.at(n)
 	changed := false
 	s.ForEach(func(o uint32) {
 		a.steps++ // propagation work: one unit per candidate object
-		if p.pts.Add(o) {
+		if pts.Add(o) {
 			p.delta.Add(o)
 			changed = true
 		}
@@ -381,8 +454,8 @@ func (a *Analysis) addEdge(from, to NodeID) {
 	}
 	a.numEdges++
 	a.constraints++
-	if !p.pts.IsEmpty() {
-		a.addSet(to, &p.pts)
+	if pts := a.pts.at(from); !pts.IsEmpty() {
+		a.addSet(to, pts)
 	}
 }
 
@@ -510,7 +583,7 @@ func (a *Analysis) originCtx(allocCtx CtxID, site int) CtxID {
 func (a *Analysis) markReachable(fn *ir.Func, ctx CtxID) FnCtxID {
 	id := a.CG.Node(fn, ctx)
 	if int(id) == len(a.fnVars) {
-		a.fnVars = append(a.fnVars, a.nodeLists.make(len(fn.Locals), len(fn.Locals)))
+		a.fnVars = append(a.fnVars, a.varLists.make(len(fn.Locals), len(fn.Locals)))
 		a.fnFields = append(a.fnFields, a.fieldsOf(fn))
 		a.fnWL = append(a.fnWL, id)
 	}
@@ -650,7 +723,7 @@ func (a *Analysis) genStore(base, src NodeID, f fieldID) {
 // itself, but never re-enters replayObjs (its callbacks only enqueue
 // work), so one scratch per Analysis is safe.
 func (a *Analysis) replayObjs(base NodeID, fn func(ObjID)) {
-	pts := &a.nodes.at(base).pts
+	pts := a.pts.at(base)
 	if pts.words == nil {
 		// An inline set's one element is its own snapshot.
 		if pts.n == 1 {

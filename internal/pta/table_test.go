@@ -43,7 +43,8 @@ func TestTableChunks(t *testing.T) {
 }
 
 // A slab's chunks start at slabFirstChunk elements and double up to
-// slabChunkMax; a list wanting more than a quarter of the current chunk
+// slabChunkMax; a list that does not fit starts a chunk at least four
+// times its size, and a list wanting more than a quarter of slabChunkMax
 // gets its own storage.
 func TestSlabChunks(t *testing.T) {
 	var s slab[int]
@@ -68,6 +69,10 @@ func TestSlabChunks(t *testing.T) {
 	free := len(s.free)
 	if l := s.make(0, slabChunkMax/4+1); cap(l) != slabChunkMax/4+1 || len(s.free) != free {
 		t.Errorf("a list of capacity %d was carved from the chunk", slabChunkMax/4+1)
+	}
+	var fresh slab[int]
+	if l := fresh.make(10, 10); len(l) != 10 || fresh.size != 40 || len(fresh.free) != 30 {
+		t.Errorf("a first list of 10 made a chunk of %d with %d left, want 40 with 30", fresh.size, len(fresh.free))
 	}
 }
 
@@ -98,6 +103,83 @@ func TestSlabLists(t *testing.T) {
 			if v != i*1000+round {
 				t.Fatalf("list %d element %d = %d, want %d", i, round, v, i*1000+round)
 			}
+		}
+	}
+}
+
+// A reset table and slab hand out zeroed storage from the chunks they
+// kept, so refilling them to the same size allocates nothing.
+func TestResetReuses(t *testing.T) {
+	var tb table[NodeID, int]
+	var s slab[int]
+	lists := make([][]int, 0, 200)
+	fill := func() {
+		for i := range 1000 {
+			tb.push(i + 1)
+		}
+		lists = lists[:0]
+		for i := range 200 {
+			l := s.make(i%50, i%50)
+			for j := range l {
+				if l[j] != 0 {
+					t.Fatalf("list %d element %d = %d after reset, want 0", i, j, l[j])
+				}
+				l[j] = i + 1
+			}
+			lists = append(lists, l)
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(5, func() {
+		tb.reset()
+		s.reset()
+		fill()
+	}); allocs != 0 {
+		t.Errorf("refilling after reset allocated %.0f times", allocs)
+	}
+	for i := range NodeID(1000) {
+		if got := *tb.at(i); got != int(i)+1 {
+			t.Fatalf("at(%d) = %d after refill", i, got)
+		}
+	}
+	tb.reset()
+	if tb.len() != 0 {
+		t.Errorf("reset left len %d", tb.len())
+	}
+	for _, c := range tb.chunks {
+		for _, v := range c {
+			if v != 0 {
+				t.Fatalf("reset left element %d", v)
+			}
+		}
+	}
+}
+
+// The drop rule: a solver whose node table was grown by a solve more than
+// twice as large as the current one is not kept.
+func TestSolverInScale(t *testing.T) {
+	grow := func(s *solver, n int) {
+		for s.nodes.len() < n {
+			s.nodes.push(pnode{})
+		}
+	}
+	for _, n := range []int{0, 1, firstChunk, firstChunk + 1, 1000, 1025} {
+		var s solver
+		grow(&s, n)
+		if !s.inScale() {
+			t.Errorf("a table grown to %d nodes (cap %d) by its own solve is out of scale", n, s.nodes.cap())
+		}
+	}
+	var s solver
+	grow(&s, 4096)
+	for _, c := range []struct {
+		used int
+		keep bool
+	}{{4096, true}, {1024, true}, {1023, false}, {firstChunk, false}} {
+		s.nodes.reset()
+		grow(&s, c.used)
+		if got := s.inScale(); got != c.keep {
+			t.Errorf("cap %d, %d nodes used: inScale = %t, want %t", s.nodes.cap(), c.used, got, c.keep)
 		}
 	}
 }

@@ -71,12 +71,16 @@ func (b *pairBudget) stopped() bool { return b.tripped.Load() || b.latch.Tripped
 // worker-utilization gauge: a worker is busy from pool entry until it runs
 // out of groups, so the ratio busy/(workers × wall) exposes shard
 // imbalance.
-func detectGroups(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp *grouped, bud *pairBudget, workers int, sp *obs.Span) int64 {
+func (s *scratch) detectGroups(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, bud *pairBudget, workers int, sp *obs.Span) int64 {
+	grp := &s.grouped
 	keys := grp.keys
-	results := make([]groupResult, len(keys))
+	results := zeroed(&s.results, len(keys))
+	for len(s.workers) < workers {
+		s.workers = append(s.workers, worker{seen: map[uint64]struct{}{}})
+	}
 	var next atomic.Int64
-	run := func() {
-		w := worker{seen: map[uint64]struct{}{}, tally: opt.newTally()}
+	run := func(w *worker) {
+		w.tally = opt.newTally()
 		// The per-origin tally merges additively on exit, so the
 		// attribution totals are worker-count independent.
 		defer opt.Attr.merge(w.tally)
@@ -85,12 +89,12 @@ func detectGroups(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp *
 			if i >= len(keys) {
 				return
 			}
-			results[i] = checkGroup(a, g, grp.group(i), opt, bud, &w)
+			results[i] = checkGroup(a, g, grp.group(i), opt, bud, w)
 		}
 	}
 	var busyNS atomic.Int64
 	if workers == 1 {
-		run()
+		run(&s.workers[0])
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -105,7 +109,7 @@ func detectGroups(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp *
 						ws.End()
 					}()
 				}
-				run()
+				run(&s.workers[w])
 			}(w)
 		}
 		wg.Wait()
@@ -118,6 +122,6 @@ func detectGroups(a *pta.Analysis, g *shb.Graph, opt Options, rep *Report, grp *
 	for ; merged < len(results) && !bud.canceled(); merged++ {
 		rep.merge(&results[merged])
 	}
-	rep.Races = races(g, grp, results[:merged], opt.Attr, opt.Progress)
+	rep.Races = s.races(g, results[:merged], opt.Attr, opt.Progress)
 	return busyNS.Load()
 }

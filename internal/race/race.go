@@ -241,7 +241,9 @@ func Detect(a *pta.Analysis, sharing *osa.Result, g *shb.Graph, opt Options) *Re
 // report is returned alongside pta.ErrCanceled (or pta.ErrBudget when the
 // context deadline expired); it is a valid lower bound but not the full
 // result. A canceled report holds only the groups merged before the
-// cancel: detection stops merging its workers' results there.
+// cancel: detection stops merging its workers' results there. The
+// working tables come from a pool (scratch) and go back to it on return;
+// the report references none of them.
 func DetectCtx(ctx context.Context, a *pta.Analysis, sharing *osa.Result, g *shb.Graph, opt Options) (*Report, error) {
 	sp := opt.Obs.StartSpan("detect")
 	start := time.Now()
@@ -250,7 +252,9 @@ func DetectCtx(ctx context.Context, a *pta.Analysis, sharing *osa.Result, g *shb
 	latch, stopWatch := pta.WatchCancel(ctx)
 	bud.latch = latch
 	defer stopWatch()
-	grp := collect(a, g, sharing, opt, rep, bud)
+	s := scratchPool.Get().(*scratch)
+	defer s.put()
+	grp := s.collect(a, g, sharing, opt, rep, bud)
 	if opt.Progress != nil {
 		// The pairwise loop over group i iterates n·(n+1)/2 ticks — the
 		// exact denominator of the examined-pair progress fraction.
@@ -270,7 +274,7 @@ func DetectCtx(ctx context.Context, a *pta.Analysis, sharing *osa.Result, g *shb
 		workers = len(grp.keys)
 	}
 	workers = max(workers, 1)
-	busyNS := detectGroups(a, g, opt, rep, grp, bud, workers, sp)
+	busyNS := s.detectGroups(a, g, opt, rep, bud, workers, sp)
 	rep.TimedOut = bud.isTripped()
 	rep.Groups = len(grp.keys)
 	rep.Elapsed = time.Since(start)
@@ -378,12 +382,14 @@ type foundRace struct {
 // groups in increasing index, and no other group kept one of that
 // signature earlier. After sorting the kept pairs by sig pair, then group,
 // it is the first of its signature. Ascending sig pair is report order.
-func races(g *shb.Graph, grp *grouped, results []groupResult, attr *Attribution, prog *obs.Progress) []Race {
+// The returned list is the only fresh allocation.
+func (s *scratch) races(g *shb.Graph, results []groupResult, attr *Attribution, prog *obs.Progress) []Race {
+	grp := &s.grouped
 	n := 0
 	for i := range results {
 		n += len(results[i].rp)
 	}
-	found := make([]foundRace, 0, n)
+	found := slices.Grow(s.found[:0], n)
 	for gi := range results {
 		accs := grp.group(gi)
 		for _, p := range results[gi].rp {
@@ -396,6 +402,7 @@ func races(g *shb.Graph, grp *grouped, results []groupResult, attr *Attribution,
 		}
 		return cmp.Compare(x.group, y.group)
 	})
+	s.found = found
 	found = slices.CompactFunc(found, func(x, y foundRace) bool { return x.key == y.key })
 	out := make([]Race, len(found))
 	for i, f := range found {
@@ -544,6 +551,80 @@ const (
 	locVolatile  int32 = -2 // synchronization, not data
 )
 
+// scratch is DetectCtx's working state: collect's tables, the grouped
+// arena, the workers' dedup sets and the kept pairs of every group.
+// DetectCtx takes one from scratchPool and puts it back once Report.Races
+// is built, so a later detection in the process reuses them.
+type scratch struct {
+	fate     []int32   // PAG node → decision on the location (locUndecided, ...)
+	kept     []uint64  // surviving access nodes, a bitset over SHB nodes
+	keys     []osa.Key // dense group index → location key
+	grpField []int32   // dense group index → field index
+	counts   []int32   // dense group index → surviving accesses
+	order    []int32   // sorted position → dense group index
+	pos      []int32   // dense group index → sorted position
+	cur      []int32   // sorted position → next free slot in grouped.accs
+	fields   map[string]int32
+	merged   map[uint64]struct{} // region representatives (see collect)
+	sigs     map[sigKey]int32
+	grouped  grouped
+
+	// sigRanks' tables
+	fieldNames []string
+	sigKeys    []sigKey
+	sigOrder   []int32
+	rank       []int32
+
+	workers []worker
+	results []groupResult
+	found   []foundRace
+}
+
+// scratchPool holds the working state of finished detections.
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{
+		fields: map[string]int32{},
+		merged: map[uint64]struct{}{},
+		sigs:   map[sigKey]int32{},
+	}
+}}
+
+// put empties s and returns it to scratchPool, unless its location table
+// is more than four times the one this detection used: the solver's
+// rule (pta's solver.inScale), since both are indexed by PAG node.
+func (s *scratch) put() {
+	if cap(s.fate) > 4*len(s.fate) {
+		return
+	}
+	clear(s.fields)
+	clear(s.merged)
+	clear(s.sigs)
+	// Drop what refers into the analyzed program.
+	clear(s.keys)
+	clear(s.grouped.keys)
+	clear(s.fieldNames)
+	clear(s.sigKeys)
+	clear(s.results)
+	for i := range s.workers {
+		w := &s.workers[i]
+		clear(w.seen)
+		w.kept, w.tally = w.kept[:0], nil
+	}
+	scratchPool.Put(s)
+}
+
+// zeroed resizes *l to n zero elements, reusing its array when it is
+// large enough, and returns it.
+func zeroed[T any](l *[]T, n int) []T {
+	if cap(*l) < n {
+		*l = make([]T, n)
+	} else {
+		*l = (*l)[:n]
+		clear(*l)
+	}
+	return *l
+}
+
 // collect groups SHB access nodes by location, applying the OSA filter and
 // lock-region merging. Volatile locations are synchronization, not data
 // (§4.3 extension: atomics), and are never candidates.
@@ -558,19 +639,12 @@ const (
 // each access's interned sig is then replaced by its rank in (field
 // name, file, line) order. Races are reported by field, then the lower
 // position, then the higher one (the tests' RaceLess), so packed rank
-// pairs sort in report order.
-func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, rep *Report, bud *pairBudget) *grouped {
-	fate := make([]int32, a.NumNodes())
-	var keys []osa.Key   // dense group index → location key
-	var grpField []int32 // dense group index → field index
-	var counts []int32   // dense group index → surviving accesses
-	fields := map[string]int32{}
-	kept := make([]uint64, (len(g.Nodes)+63)/64) // surviving access nodes
+// pairs sort in report order. Every table is s's, and so is the result.
+func (s *scratch) collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, rep *Report, bud *pairBudget) *grouped {
+	fate := zeroed(&s.fate, a.NumNodes())
+	kept := zeroed(&s.kept, (len(g.Nodes)+63)/64)
+	s.keys, s.grpField, s.counts = s.keys[:0], s.grpField[:0], s.counts[:0]
 	total := 0
-	var merged map[uint64]struct{}
-	if opt.RegionMerge {
-		merged = map[uint64]struct{}{}
-	}
 	for id := range g.Nodes {
 		if id&(cancelStride-1) == 0 && bud.canceled() {
 			// Canceled mid-collect: stop grouping — the detectors will stop
@@ -591,19 +665,19 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 			case isVolatile(a, k):
 				f = locVolatile
 			default:
-				keys = append(keys, k)
-				f = int32(len(keys))
+				s.keys = append(s.keys, k)
+				f = int32(len(s.keys))
 				name := k.Field
 				if k.Static != "" {
 					name = k.Static
 				}
-				fi, ok := fields[name]
+				fi, ok := s.fields[name]
 				if !ok {
-					fi = int32(len(fields))
-					fields[name] = fi
+					fi = int32(len(s.fields))
+					s.fields[name] = fi
 				}
-				grpField = append(grpField, fi)
-				counts = append(counts, 0)
+				s.grpField = append(s.grpField, fi)
+				s.counts = append(s.counts, 0)
 			}
 			fate[n.Loc] = f
 		}
@@ -626,19 +700,20 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 			if w {
 				mk |= 1
 			}
-			before := len(merged)
-			if merged[mk] = struct{}{}; len(merged) == before {
+			before := len(s.merged)
+			if s.merged[mk] = struct{}{}; len(s.merged) == before {
 				rep.MergedRegion++
 				continue // merged into the region's representative access
 			}
 		}
 		kept[id/64] |= 1 << (id % 64)
-		counts[gi]++
+		s.counts[gi]++
 		total++
 	}
 
 	// Sort groups by key and scatter the accesses into the arena.
-	order := make([]int32, len(keys))
+	keys := s.keys
+	order := zeroed(&s.order, len(keys))
 	for i := range order {
 		order[i] = int32(i)
 	}
@@ -648,54 +723,52 @@ func collect(a *pta.Analysis, g *shb.Graph, sharing *osa.Result, opt Options, re
 		}
 		return 1 // keys are distinct
 	})
-	out := &grouped{
-		keys: make([]osa.Key, len(keys)),
-		accs: make([]acc, total),
-		off:  make([]int32, len(keys)+1),
-	}
-	pos := make([]int32, len(keys)) // dense group index → sorted position
+	out := &s.grouped
+	zeroed(&out.keys, len(keys))
+	zeroed(&out.accs, total)
+	zeroed(&out.off, len(keys)+1)
+	pos := zeroed(&s.pos, len(keys)) // dense group index → sorted position
 	for si, gi := range order {
 		pos[gi] = int32(si)
 		out.keys[si] = keys[gi]
-		out.off[si+1] = out.off[si] + counts[gi]
+		out.off[si+1] = out.off[si] + s.counts[gi]
 	}
-	cur := make([]int32, len(keys))
+	cur := zeroed(&s.cur, len(keys))
 	copy(cur, out.off[:len(keys)])
-	sigs := map[sigKey]int32{}
 	for wi, word := range kept {
 		for ; word != 0; word &= word - 1 {
 			id := wi*64 + bits.TrailingZeros64(word)
 			n := &g.Nodes[id]
 			gi := fate[n.Loc] - 1
-			sk := sigKey{grpField[gi], g.Instr(id).Pos()}
-			sig, ok := sigs[sk]
+			sk := sigKey{s.grpField[gi], g.Instr(id).Pos()}
+			sig, ok := s.sigs[sk]
 			if !ok {
-				sig = int32(len(sigs))
-				sigs[sk] = sig
+				sig = int32(len(s.sigs))
+				s.sigs[sk] = sig
 			}
 			p := pos[gi]
 			out.accs[cur[p]] = acc{id, sig, n.Kind == shb.NWrite}
 			cur[p]++
 		}
 	}
-	rank := sigRanks(sigs, fields)
+	rank := s.sigRanks()
 	for i := range out.accs {
 		out.accs[i].sig = rank[out.accs[i].sig]
 	}
 	return out
 }
 
-// sigRanks returns the rank of each interned sig, indexed by sig, in
-// (field name, file, line) order. Distinct sigs differ in one of the
-// three, so the ranks are distinct.
-func sigRanks(sigs map[sigKey]int32, fields map[string]int32) []int32 {
-	fieldNames := make([]string, len(fields))
-	for name, fi := range fields {
+// sigRanks returns the rank of each sig interned in s.sigs, indexed by
+// sig, in (field name, file, line) order. Distinct sigs differ in one of
+// the three, so the ranks are distinct.
+func (s *scratch) sigRanks() []int32 {
+	fieldNames := zeroed(&s.fieldNames, len(s.fields))
+	for name, fi := range s.fields {
 		fieldNames[fi] = name
 	}
-	sigKeys := make([]sigKey, len(sigs))
-	order := make([]int32, len(sigs))
-	for sk, sig := range sigs {
+	sigKeys := zeroed(&s.sigKeys, len(s.sigs))
+	order := zeroed(&s.sigOrder, len(s.sigs))
+	for sk, sig := range s.sigs {
 		sigKeys[sig] = sk
 		order[sig] = sig
 	}
@@ -709,7 +782,7 @@ func sigRanks(sigs map[sigKey]int32, fields map[string]int32) []int32 {
 		}
 		return cmp.Compare(kx.pos.Line, ky.pos.Line)
 	})
-	rank := make([]int32, len(order))
+	rank := zeroed(&s.rank, len(order))
 	for r, sig := range order {
 		rank[sig] = int32(r)
 	}

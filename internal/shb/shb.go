@@ -123,8 +123,8 @@ type Config struct {
 	// AndroidEvents serializes all event-handler origins with a global
 	// lock (§4.2), modeling the Android main thread's event loop.
 	AndroidEvents bool
-	// MaxNodes bounds trace size as a safety valve for generated
-	// workloads (0 = unlimited).
+	// MaxNodes bounds the graph to at most this many nodes, a safety
+	// valve for generated workloads (0 = unlimited).
 	MaxNodes int
 	// Obs receives the build span, the graph-size gauges and the reach
 	// cache counters (nil = disabled).
@@ -561,6 +561,9 @@ func (b *builder) walk(fn pta.FnCtxID) {
 				}
 			}
 			for _, e := range edges {
+				if b.full() {
+					return
+				}
 				switch e.Kind {
 				case pta.EdgeCall, pta.EdgeInit:
 					b.walk(e.Callee)
@@ -599,11 +602,12 @@ func syncKind(ent ir.EntryConfig, method string) (NodeKind, bool) {
 // objNodes records a node of a synchronization kind per object v may
 // point to in fn: the condition, channel or WaitGroup operand of the
 // instruction at idx. Channel kinds skip objects that are not channels.
-// connectSync adds the edges once the graph is built.
+// connectSync adds the edges once the graph is built. Like every node,
+// they stop at the size cap.
 func (b *builder) objNodes(kind NodeKind, fn pta.FnCtxID, idx int, v *ir.Var) {
 	chanOp := kind == NChanSend || kind == NChanRecv || kind == NChanClose
 	b.a.PointsToIn(fn, v).ForEach(func(o uint32) {
-		if chanOp && b.a.Obj(pta.ObjID(o)).Kind != pta.ObjChan {
+		if b.full() || chanOp && b.a.Obj(pta.ObjID(o)).Kind != pta.ObjChan {
 			return
 		}
 		b.node(Node{Kind: kind, Obj: pta.ObjID(o), FnCtx: fn, InstrIdx: int32(idx)})
@@ -611,10 +615,14 @@ func (b *builder) objNodes(kind NodeKind, fn pta.FnCtxID, idx int, v *ir.Var) {
 }
 
 // accesses records an access node for the access at instruction idx of
-// fn per object the base may point to. An object without a field node is
-// skipped: only an analysis that stopped early lacks one.
+// fn per object the base may point to, up to the size cap. An object
+// without a field node is skipped: only an analysis that stopped early
+// lacks one.
 func (b *builder) accesses(kind NodeKind, fn pta.FnCtxID, idx int, base *ir.Var) {
 	b.a.PointsToIn(fn, base).ForEach(func(o uint32) {
+		if b.full() {
+			return
+		}
 		if l, ok := b.a.FieldNodeAt(fn, idx, pta.ObjID(o)); ok {
 			b.node(Node{Kind: kind, Loc: l, FnCtx: fn, InstrIdx: int32(idx)})
 		}

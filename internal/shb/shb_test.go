@@ -1,6 +1,7 @@
 package shb_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -270,10 +271,35 @@ main {
 	}
 }
 
+// TestMaxNodesTruncation: a graph never holds more than MaxNodes nodes,
+// also when one instruction makes a node per object its base may point
+// to (six here): an access, a wait and a thread start.
 func TestMaxNodesTruncation(t *testing.T) {
-	_, g := build(t, spawnJoin, shb.Config{MaxNodes: 3})
-	if len(g.Nodes) > 4 {
-		t.Errorf("MaxNodes not honored: %d nodes", len(g.Nodes))
+	const six = `
+class S { field data; }
+class W { run() { } }
+main {
+  s = new S(); s = new S(); s = new S();
+  s = new S(); s = new S(); s = new S();
+  w = new W(); w = new W(); w = new W();
+  w = new W(); w = new W(); w = new W();
+  %s
+}
+`
+	cases := []string{spawnJoin}
+	for _, stmt := range []string{"s.data = s;", "s.wait();", "w.start();"} {
+		src := fmt.Sprintf(six, stmt)
+		if _, g := build(t, src, shb.Config{}); len(g.Nodes) != 6 {
+			t.Errorf("%s built %d nodes uncapped, want 6", stmt, len(g.Nodes))
+		}
+		cases = append(cases, src)
+	}
+	for _, src := range cases {
+		for max := 1; max <= 3; max++ {
+			if _, g := build(t, src, shb.Config{MaxNodes: max}); len(g.Nodes) > max {
+				t.Errorf("MaxNodes %d not honored: %d nodes in%s", max, len(g.Nodes), src)
+			}
+		}
 	}
 }
 

@@ -6,11 +6,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"o2/internal/ir"
 	"o2/internal/race"
 	"o2/internal/shb"
 	"o2/internal/workload"
@@ -85,6 +88,62 @@ func TestReportGolden(t *testing.T) {
 	if bad > 0 {
 		t.Logf("current digests (%s format):\n%s", reportGoldenFile, fresh.String())
 	}
+}
+
+// TestReportReuseLeavesNoTrace runs analyses that stop in every way in
+// one process, so each one after the first works in solver and detection
+// state an earlier one left in the pools: complete runs, a solve stopped
+// by its step budget, a detection stopped by its pair budget, and runs
+// canceled mid-solve and mid-detection. Every complete run still matches
+// TestReportGolden's digest, including one of the first run's program.
+func TestReportReuseLeavesNoTrace(t *testing.T) {
+	want := readReportGolden(t)
+	entries := DefaultConfig().Entries
+	build := func(name string) *ir.Program {
+		p, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("no preset %s", name)
+		}
+		return workload.Build(p, entries)
+	}
+	// One worker keeps detection on the test's goroutine, so the pooled
+	// state a run puts back is the one the next run takes; every digest
+	// is the same at any worker count.
+	one := DefaultConfig()
+	one.Workers = 1
+	check := func(name string, prog *ir.Program) {
+		t.Helper()
+		res, err := Analyze(context.Background(), prog, one)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := reportDigest(t, res); got != want[name] {
+			t.Errorf("%s: report digest %s, golden %s", name, got, want[name])
+		}
+	}
+	zk := build("zookeeper")
+	check("zookeeper", zk)
+	cfg := DefaultConfig()
+	cfg.StepBudget = 5000
+	if _, err := Analyze(context.Background(), zk, cfg); !errors.Is(err, ErrBudget) {
+		t.Fatalf("step budget: got %v, want ErrBudget", err)
+	}
+	cfg = DefaultConfig()
+	cfg.Detector.PairBudget = 1000
+	if res, err := Analyze(context.Background(), zk, cfg); err != nil || !res.Report.TimedOut {
+		t.Fatalf("pair budget: got %v, want a report stopped by its budget", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(time.Millisecond, cancel)
+	_, err := Analyze(ctx, workload.Build(workload.Linux(), entries), DefaultConfig())
+	cancel()
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled run: got %v, want ErrCanceled", err)
+	}
+	cancelMidDetect(t, DefaultConfig())
+	check("avrora", build("avrora"))
+	check("zookeeper", zk)
+	check("zookeeper", build("zookeeper"))
 }
 
 // readReportGolden parses the golden: "<sha256>  <name>" lines, '#'
