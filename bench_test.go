@@ -260,7 +260,9 @@ func BenchmarkAblation(b *testing.B) {
 // race list is allocated once at its final length. Every table but the
 // race list comes from the previous iteration's pooled scratch, so after
 // the first iteration bytes/op are about the race list alone (the
-// bench gate measures the cold first run).
+// bench gate measures the cold first run). The scratch keeps at most
+// GOMAXPROCS worker slots, so at fewer processors than workers the
+// extra workers' dedup sets are made again on every iteration.
 func BenchmarkDetectAllocs(b *testing.B) {
 	entries := ir.DefaultEntryConfig()
 	p, _ := workload.ByName("zookeeper")
@@ -293,7 +295,11 @@ func BenchmarkDetectAllocs(b *testing.B) {
 // working state (everything but the points-to sets, the variable tables,
 // the call graph and the heap) comes from the previous iteration's pool,
 // so pta's bytes/op are near what a solved Analysis keeps (942 KB
-// allocated, 660 KB kept); the bench gate measures the cold first solve.
+// allocated, 660 KB kept). SHB walks in a pooled node buffer from the
+// third iteration on and copies the nodes out at their exact length, and
+// lockset.Canon allocates only for a new lockset, so shb's bytes/op are
+// mostly the 419 KB copy of zookeeper's 13,090 nodes. The bench gate
+// measures the cold first solve and build.
 func BenchmarkFrontPhaseAllocs(b *testing.B) {
 	entries := ir.DefaultEntryConfig()
 	p, _ := workload.ByName("zookeeper")

@@ -70,12 +70,12 @@ eval_gate() {
 
 # Race-detector pass: the packages whose state is shared across
 # detection workers, scheduler jobs or corpus workers, plus the
-# concurrent-store and corpus-pipeline tests. The one list CI and make
-# both run.
+# concurrent-store, corpus-pipeline and concurrent pooled-state tests.
+# The one list CI and make both run.
 race() {
 	go test -race ./internal/race/ ./internal/shb/ ./internal/lockset/ ./internal/ring/ ./internal/obs/ ./internal/sched/ ./internal/server/ ./internal/summary/ ./internal/corpus/
 	go test -race -run 'TestIncrementalConcurrentStore' ./internal/truth/
-	go test -race -run 'TestAnalyzeCorpus' .
+	go test -race -run 'TestAnalyzeCorpus|TestConcurrentReuseLeavesNoTrace' .
 }
 
 # End-to-end smoke of the batch-analysis service: build the CLI, start

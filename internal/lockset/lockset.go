@@ -16,7 +16,7 @@ package lockset
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -89,6 +89,7 @@ type Table struct {
 	dense   map[uint32]uint32 // lock object → dense bit index
 	locks   []uint32          // dense bit index → lock object
 	scratch []uint32          // Canon's sort/dedupe buffer, reused across calls
+	key     []byte            // Canon's index key buffer, reused across calls
 	view    atomic.Pointer[view]
 }
 
@@ -130,17 +131,15 @@ func (t *Table) Canon(objs []uint32) ID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := append(t.scratch[:0], objs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	// dedupe in place
-	out := s[:1]
-	for _, x := range s[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
+	slices.Sort(s)
+	out := slices.Compact(s)
 	t.scratch = s[:0]
-	key := setKey(out)
-	if id, ok := t.index[key]; ok {
+	key := t.key[:0]
+	for _, x := range out {
+		key = binary.LittleEndian.AppendUint32(key, x)
+	}
+	t.key = key
+	if id, ok := t.index[string(key)]; ok {
 		return id
 	}
 	var bs bitset
@@ -155,7 +154,7 @@ func (t *Table) Canon(objs []uint32) ID {
 	}
 	old := t.view.Load()
 	id := ID(len(old.sets))
-	t.index[key] = id
+	t.index[string(key)] = id
 	next := &view{
 		sets: append(old.sets, append([]uint32(nil), out...)),
 		bits: append(old.bits, bs),
@@ -204,12 +203,4 @@ func IntersectSorted(x, y []uint32) bool {
 		}
 	}
 	return false
-}
-
-func setKey(s []uint32) string {
-	buf := make([]byte, 4*len(s))
-	for i, x := range s {
-		binary.LittleEndian.PutUint32(buf[i*4:], x)
-	}
-	return string(buf)
 }

@@ -192,14 +192,26 @@ var solverPool = sync.Pool{New: func() any {
 	}
 }}
 
-// inScale reports whether s is worth keeping after a solve. A node table
-// that only this solve grew holds fewer than twice the nodes it used, or
-// one chunk, because its chunks double; one holding more than four times
-// as many was grown by a solve at least twice as large. Dropping such a
-// state keeps a huge program's tables from staying pinned in a process
-// that goes on to solve small ones.
-func (s *solver) inScale() bool {
-	return s.nodes.cap() <= 4*max(s.nodes.len(), firstChunk)
+// keepFloor is the node-indexed table size up to which pooled working
+// state is always kept. Every preset fits under it: the largest,
+// telegram, fills 10,769 nodes of a 16,384-node PAG table and makes
+// 14,703 SHB nodes. Under it a solver state holds at most 3 MB of
+// pnodes, and 12.3 MB in all measured (linux-x18, 64,604 PAG nodes); an
+// SHB node buffer at most 2 MB.
+const keepFloor = 1 << 16
+
+// KeepPooled is the one keep rule of the three pools of working state
+// (the solver's, detection's scratch and the SHB node buffer). A state
+// whose node-indexed table holds capacity nodes after a run that used
+// used of them goes back to its pool unless the table is both over
+// keepFloor and more than four times what the run used. A table that
+// only this run grew holds fewer than twice what it used, because it
+// doubles, so a larger one was grown by a run at least twice as large:
+// one huge request cannot pin its tables in a long-running process, and
+// a program that follows a larger one of ordinary size still reuses its
+// state.
+func KeepPooled(capacity, used int) bool {
+	return capacity <= keepFloor || capacity <= 4*used
 }
 
 // reset empties s for the next solve, keeping what it allocated.
@@ -234,12 +246,12 @@ func (a *Analysis) takeSolver() {
 }
 
 // putSolver takes the working state back from a and returns it to
-// solverPool, unless it is out of scale with the solve (inScale).
+// solverPool, unless KeepPooled drops it.
 func (a *Analysis) putSolver() {
 	s := a.solver
 	a.solver = nil
 	s.big, a.CG.big = a.CG.big, nil
-	if s.inScale() {
+	if KeepPooled(s.nodes.cap(), s.nodes.len()) {
 		s.reset()
 		solverPool.Put(s)
 	}

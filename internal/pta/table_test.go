@@ -155,31 +155,46 @@ func TestResetReuses(t *testing.T) {
 	}
 }
 
-// The drop rule: a solver whose node table was grown by a solve more than
-// twice as large as the current one is not kept.
-func TestSolverInScale(t *testing.T) {
+// The keep rule: a state whose node-indexed table was grown by a run
+// more than twice as large as the current one goes back to its pool
+// while the table is at most 1<<16 nodes, and is dropped beyond it.
+func TestKeepPooled(t *testing.T) {
 	grow := func(s *solver, n int) {
 		for s.nodes.len() < n {
 			s.nodes.push(pnode{})
 		}
 	}
+	keeps := func(s *solver) bool { return KeepPooled(s.nodes.cap(), s.nodes.len()) }
 	for _, n := range []int{0, 1, firstChunk, firstChunk + 1, 1000, 1025} {
 		var s solver
 		grow(&s, n)
-		if !s.inScale() {
-			t.Errorf("a table grown to %d nodes (cap %d) by its own solve is out of scale", n, s.nodes.cap())
+		if !keeps(&s) {
+			t.Errorf("a table grown to %d nodes (cap %d) by its own solve is dropped", n, s.nodes.cap())
 		}
 	}
 	var s solver
-	grow(&s, 4096)
-	for _, c := range []struct {
-		used int
-		keep bool
-	}{{4096, true}, {1024, true}, {1023, false}, {firstChunk, false}} {
+	grow(&s, 16384)
+	for _, used := range []int{16384, 1024, 1023, firstChunk, 0} {
 		s.nodes.reset()
-		grow(&s, c.used)
-		if got := s.inScale(); got != c.keep {
-			t.Errorf("cap %d, %d nodes used: inScale = %t, want %t", s.nodes.cap(), c.used, got, c.keep)
+		grow(&s, used)
+		if !keeps(&s) {
+			t.Errorf("cap %d, %d nodes used: dropped a table under the floor", s.nodes.cap(), used)
+		}
+	}
+	for _, c := range []struct {
+		cap, used int
+		keep      bool
+	}{
+		{1 << 16, 0, true},
+		{1 << 16, firstChunk, true},
+		{1 << 17, 1 << 15, true},
+		{1 << 17, 1<<15 - 1, false},
+		{1 << 17, firstChunk, false},
+		{1 << 20, 1 << 18, true},
+		{1 << 20, 1<<18 - 1, false},
+	} {
+		if got := KeepPooled(c.cap, c.used); got != c.keep {
+			t.Errorf("cap %d, %d nodes used: KeepPooled = %t, want %t", c.cap, c.used, got, c.keep)
 		}
 	}
 }

@@ -589,12 +589,17 @@ var scratchPool = sync.Pool{New: func() any {
 	}
 }}
 
-// put empties s and returns it to scratchPool, unless its location table
-// is more than four times the one this detection used: the solver's
-// rule (pta's solver.inScale), since both are indexed by PAG node.
+// put empties s and returns it to scratchPool, unless pta.KeepPooled
+// drops it for its location table, which is indexed by PAG node as the
+// solver's node table is, or for its access arena, which grows with the
+// SHB graph instead: linux-x8's 319k accesses come from 42k PAG nodes,
+// under the rule's floor. It keeps at most GOMAXPROCS worker slots.
 func (s *scratch) put() {
-	if cap(s.fate) > 4*len(s.fate) {
+	if !pta.KeepPooled(cap(s.fate), len(s.fate)) || !pta.KeepPooled(cap(s.grouped.accs), len(s.grouped.accs)) {
 		return
+	}
+	if n := runtime.GOMAXPROCS(0); len(s.workers) > n {
+		s.workers = slices.Clone(s.workers[:n])
 	}
 	clear(s.fields)
 	clear(s.merged)

@@ -37,6 +37,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"time"
@@ -72,11 +73,13 @@ type ConfigRequest struct {
 	K       int    `json:"k,omitempty"`
 	Android bool   `json:"android,omitempty"`
 	// ReplicateEvents treats event origins as concurrently re-entrant.
-	ReplicateEvents bool  `json:"replicate_events,omitempty"`
-	Workers         int   `json:"workers,omitempty"`
-	StepBudget      int64 `json:"step_budget,omitempty"`
-	TimeBudgetMS    int64 `json:"time_budget_ms,omitempty"`
-	MaxSHBNodes     int   `json:"max_shb_nodes,omitempty"`
+	ReplicateEvents bool `json:"replicate_events,omitempty"`
+	// Workers is the detection worker count: 0 means GOMAXPROCS, and a
+	// larger value is clamped to it.
+	Workers      int   `json:"workers,omitempty"`
+	StepBudget   int64 `json:"step_budget,omitempty"`
+	TimeBudgetMS int64 `json:"time_budget_ms,omitempty"`
+	MaxSHBNodes  int   `json:"max_shb_nodes,omitempty"`
 }
 
 func (cr ConfigRequest) toConfig() (o2.Config, error) {
@@ -88,7 +91,9 @@ func (cr ConfigRequest) toConfig() (o2.Config, error) {
 	cfg.Policy = pol
 	cfg.Android = cr.Android
 	cfg.ReplicateEvents = cr.ReplicateEvents
-	cfg.Workers = cr.Workers
+	// Detection starts a goroutine and a dedup set per worker, so a
+	// request gets at most one per processor, as /batch's jobs do.
+	cfg.Workers = min(cr.Workers, runtime.GOMAXPROCS(0))
 	cfg.StepBudget = cr.StepBudget
 	cfg.TimeBudget = time.Duration(cr.TimeBudgetMS) * time.Millisecond
 	cfg.MaxSHBNodes = cr.MaxSHBNodes

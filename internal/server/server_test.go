@@ -8,12 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"o2"
+	"o2/internal/obs"
 	"o2/internal/sched"
 )
 
@@ -1000,4 +1002,71 @@ func TestWireFormatCompact(t *testing.T) {
 		}
 	}
 	checkCompact[errorBody](t, "429", resp, raw)
+}
+
+// wideSource is one class of n fields, each written by two threads: n
+// races on n candidate locations.
+func wideSource(n int) string {
+	var b strings.Builder
+	b.WriteString("class S {")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, " field f%d;", i)
+	}
+	b.WriteString(" }\nclass W {\n  field s;\n  W(s) { this.s = s; }\n  run() {\n    sh = this.s;\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "    sh.f%d = this;\n", i)
+	}
+	b.WriteString("  }\n}\nmain {\n  s = new S();\n  t1 = new W(s);\n  t2 = new W(s);\n  t1.start();\n  t2.start();\n}\n")
+	return b.String()
+}
+
+// TestHugeDetectionWorkers: a detection worker count far beyond the
+// host's CPUs, on /analyze and on /batch, runs on at most GOMAXPROCS
+// workers rather than one goroutine and dedup set per candidate
+// location, and every race is still reported.
+func TestHugeDetectionWorkers(t *testing.T) {
+	const fields = 300
+	ts, _ := newTestServer(t, sched.Options{Workers: 1, CollectStats: true})
+	src := wideSource(fields)
+	limit := int64(runtime.GOMAXPROCS(0))
+
+	resp, raw := postAnalyze(t, ts.URL, AnalyzeRequest{Source: src, Wait: true, Config: ConfigRequest{Workers: 1 << 30}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/analyze status %s: %s", resp.Status, raw)
+	}
+	var view sched.View
+	if err := json.Unmarshal(raw, &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.RaceCnt != fields || view.Summary == nil || view.Summary.Stats == nil {
+		t.Fatalf("/analyze: %d races, summary %v; want %d races and RunStats", view.RaceCnt, view.Summary, fields)
+	}
+	if w := view.Summary.Stats.Gauges["race.workers"]; w < 1 || w > limit {
+		t.Errorf("/analyze: race.workers = %d, want 1 to GOMAXPROCS (%d)", w, limit)
+	}
+
+	manifest := `{"name":"wide.mini","source":` + string(mustJSON(t, src)) + "}\n"
+	bresp, err := http.Post(ts.URL+"/batch?run_stats=1&workers=1073741824", "application/x-ndjson", strings.NewReader(manifest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(bresp.Body)
+	bresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	var rec struct {
+		RaceCount int           `json:"race_count"`
+		RunStats  *obs.RunStats `json:"run_stats"`
+	}
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+		t.Fatalf("/batch record: %v\n%s", err, body)
+	}
+	if rec.RaceCount != fields || rec.RunStats == nil {
+		t.Fatalf("/batch: %d races, RunStats %v; want %d races and RunStats", rec.RaceCount, rec.RunStats != nil, fields)
+	}
+	if w := rec.RunStats.Gauges["race.workers"]; w < 1 || w > limit {
+		t.Errorf("/batch: race.workers = %d, want 1 to GOMAXPROCS (%d)", w, limit)
+	}
 }

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"o2/internal/ir"
@@ -156,6 +157,10 @@ func BuildCtx(ctx context.Context, a *pta.Analysis, cfg Config) (*Graph, error) 
 		a: a, g: g, cfg: cfg, segIdx: map[segKey]SegID{}, ctx: ctx,
 		onStack: make([]bool, fns), walked: make([]int64, fns),
 	}
+	buf, _ := nodePool.Get().(*[]Node)
+	if buf != nil {
+		g.Nodes = *buf
+	}
 	b.latch, b.stopWatch = pta.WatchCancel(ctx)
 	defer b.stopWatch()
 	b.segment(a.MainNode(), pta.MainOrigin)
@@ -171,6 +176,7 @@ func BuildCtx(ctx context.Context, a *pta.Analysis, cfg Config) (*Graph, error) 
 			break
 		}
 	}
+	g.Nodes = handOver(g.Nodes, buf)
 	g.out = make([][]Edge, len(g.Segs))
 	if b.ctxErr != nil {
 		return g, b.ctxErr
@@ -223,6 +229,33 @@ func BuildCtx(ctx context.Context, a *pta.Analysis, cfg Config) (*Graph, error) 
 		}
 	}
 	return g, nil
+}
+
+// nodePool holds emptied node buffers (*[]Node) for later builds' walks.
+var nodePool sync.Pool
+
+// handOver ends the walk's use of the node buffer buf, which the build
+// took from nodePool (nil when the pool was empty), and returns the
+// graph's arena. A build that took a buffer copies its nodes out at
+// their exact length and puts the buffer back, unless pta.KeepPooled
+// drops it. A build that found none keeps the arena it wrote and puts an
+// empty buffer in the pool, which the next build fills: a process that
+// builds one graph copies nothing, and in one that builds many, every
+// build after the second walks in the buffer an earlier one grew. A node
+// holds no pointer, so a pooled buffer pins nothing of the program it
+// last held.
+func handOver(nodes []Node, buf *[]Node) []Node {
+	if buf == nil {
+		nodePool.Put(new([]Node))
+		return nodes
+	}
+	out := make([]Node, len(nodes))
+	copy(out, nodes)
+	if pta.KeepPooled(cap(nodes), len(nodes)) {
+		*buf = nodes[:0]
+		nodePool.Put(buf)
+	}
+	return out
 }
 
 // connectSync adds the message-passing happens-before edges between nodes

@@ -146,6 +146,65 @@ func TestReportReuseLeavesNoTrace(t *testing.T) {
 	check("zookeeper", build("zookeeper"))
 }
 
+// TestConcurrentReuseLeavesNoTrace analyzes presets of very different
+// sizes from four goroutines at two detection workers each, so pooled
+// solver states, detection scratches and SHB node buffers pass between
+// goroutines, and between telegram, the largest preset, and the smaller
+// ones that reuse the tables it grew. Every report digest equals the
+// one a sequential run reports. ./ci.sh race runs it under the race
+// detector.
+func TestConcurrentReuseLeavesNoTrace(t *testing.T) {
+	names := []string{"telegram", "zookeeper", "avrora", "memcached"}
+	entries := DefaultConfig().Entries
+	build := func(name string) *ir.Program {
+		p, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("no preset %s", name)
+		}
+		return workload.Build(p, entries)
+	}
+	one := DefaultConfig()
+	one.Workers = 1
+	want := make([]string, len(names))
+	for i, name := range names {
+		res, err := Analyze(context.Background(), build(name), one)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want[i] = reportDigest(t, res)
+	}
+	two := DefaultConfig()
+	two.Workers = 2
+	type run struct {
+		g, i int
+		res  *Result
+		err  error
+	}
+	const goroutines, rounds = 4, 2
+	runs := make(chan run, goroutines*rounds*len(names)) // a slot per send: no sender waits on the digests
+	for g := range goroutines {
+		progs := make([]*ir.Program, len(names))
+		for i, name := range names {
+			progs[i] = build(name)
+		}
+		go func() {
+			for k := range rounds * len(names) {
+				i := (g + k) % len(names)
+				res, err := Analyze(context.Background(), progs[i], two)
+				runs <- run{g, i, res, err}
+			}
+		}()
+	}
+	for range cap(runs) {
+		r := <-runs
+		if r.err != nil {
+			t.Errorf("goroutine %d, %s: %v", r.g, names[r.i], r.err)
+		} else if got := reportDigest(t, r.res); got != want[r.i] {
+			t.Errorf("goroutine %d, %s: report digest %s, sequential %s", r.g, names[r.i], got, want[r.i])
+		}
+	}
+}
+
 // readReportGolden parses the golden: "<sha256>  <name>" lines, '#'
 // comments.
 func readReportGolden(t *testing.T) map[string]string {
